@@ -17,6 +17,8 @@ from its (corrected) netlist.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..circuit.lines import LineTable
@@ -62,7 +64,9 @@ class DiagnosisState:
 
     Attributes:
         netlist: the (possibly partially corrected) implementation.
-        table: its line table (fault/correction sites).
+        table: its line table (fault/correction sites), built on first
+            read — most exact-search children are judged from the
+            parent's state and never need one.
         values: packed value matrix, one row per signal.
         spec_out: packed spec responses, one row per primary output.
         diff: per-output packed mismatch rows (tail-masked).
@@ -77,7 +81,6 @@ class DiagnosisState:
                  values: np.ndarray | None = None):
         self.netlist = netlist
         self.patterns = patterns
-        self.table = LineTable(netlist)
         self.values = simulate(netlist, patterns) if values is None \
             else values
         self.spec_out = spec_out
@@ -98,6 +101,10 @@ class DiagnosisState:
         self._base_ints: dict[int, int] = {}
 
     # ------------------------------------------------------------------
+    @cached_property
+    def table(self) -> LineTable:
+        return LineTable(self.netlist)
+
     @property
     def rectified(self) -> bool:
         """True when the implementation matches the spec on all of V."""

@@ -52,13 +52,12 @@ from ..parallel import ShardResult
 from ..sim.packing import PatternSet
 from . import clock
 from .bitlists import DiagnosisState, reference_outputs
-from .candidates import is_correctable_line, stuck_at_corrections
 from .config import DiagnosisConfig, Mode
 from .pathtrace import derive_seed, marked_lines, path_trace_counts
 from .pipeline import DiagnosisSession, TraceWriter, select_strategy
 from .report import (CorrectionRecord, DiagnosisResult, EngineStats,
                      Solution, mark_truncated, sort_solutions)
-from .screening import prescreen_suspects, screen_verr, theorem1_bound
+from .screening import prescreen_suspects, screen_stuck_at, theorem1_bound
 from .tree import DecisionTree, warm_child_facts
 
 
@@ -175,10 +174,9 @@ class IncrementalDiagnoser:
 
 def _forced_words(state: DiagnosisState, corr) -> np.ndarray:
     """Packed constant words a stuck-at correction forces onto its line."""
-    row = state.values[state.table[corr.line].driver]
     if corr.kind is CorrectionKind.STUCK_AT_1:
-        return np.full_like(row, np.uint64(0xFFFFFFFFFFFFFFFF))
-    return np.zeros_like(row)
+        return np.full_like(state.err_mask, np.uint64(0xFFFFFFFFFFFFFFFF))
+    return np.zeros_like(state.err_mask)
 
 
 def _attempt_label(target: int, h, fraction) -> str:
@@ -196,11 +194,7 @@ def fast_stuck_at_child(state: DiagnosisState, corr) -> DiagnosisState:
     milliseconds and microseconds per node.)
     """
     line = state.table[corr.line]
-    if corr.kind is CorrectionKind.STUCK_AT_1:
-        forced = np.full_like(state.values[line.driver],
-                              np.uint64(0xFFFFFFFFFFFFFFFF))
-    else:
-        forced = np.zeros_like(state.values[line.driver])
+    forced = _forced_words(state, corr)
     changed = state.propagate_line_override(corr.line, forced)
     child_netlist = state.netlist.copy()
     apply_correction(child_netlist, state.table, corr)
@@ -262,14 +256,7 @@ def screen_and_rank(state: DiagnosisState, lines: list,
     bound = theorem1_bound(state.num_err, remaining)
     bound = max(1, int(math.ceil(bound * config.theorem1_safety)))
     t1 = clock.now()
-    screened = []
-    for line in lines:
-        if not is_correctable_line(state, line):
-            continue
-        for corr in stuck_at_corrections(line):
-            complemented = screen_verr(state, corr, bound)
-            if complemented is not None:
-                screened.append((complemented, corr))
+    screened = screen_stuck_at(state, lines, bound)
     screened.sort(key=lambda pair: -pair[0])
     # Outcome-guided ordering: for the most promising candidates
     # (by Verr bits complemented) measure the actual failing-
@@ -346,12 +333,24 @@ class _ExactSearch:
                            if config.check_invariants else None)
 
     def explore(self, state: DiagnosisState, applied: tuple,
-                applied_keys: frozenset, ordered=None) -> None:
+                applied_keys: frozenset, ordered=None,
+                chain: tuple = ()) -> None:
+        """Explore every child of ``state``.
+
+        ``chain`` holds the corrections that led from the shard's root
+        state to ``state``; solutions carry it, unbound, for the
+        strategy to bind to the caller's netlist.  A child at the target depth is a leaf: the
+        parent's override outcome decides it, and it never gets a
+        netlist, line table or value matrix of its own.  Expanded
+        children (and every child under ``check_invariants``) are
+        built eagerly by :func:`fast_stuck_at_child`.
+        """
         if ordered is None:
             ordered = exact_candidates(state, applied_keys,
                                        self.target - len(applied),
                                        self.config, self.stats,
                                        self.invariants)
+        leaf = len(applied) + 1 >= self.target and not self.invariants
         for _complemented, corr in ordered:
             signature = corr.describe(state.netlist, state.table)
             if signature in applied_keys:
@@ -363,26 +362,33 @@ class _ExactSearch:
             self.visited.add(new_keys)  # never hide unexplored work
             self.budget -= 1
             t0 = clock.now()
-            child_state = fast_stuck_at_child(state, corr)
+            child_state = None if leaf else fast_stuck_at_child(state, corr)
+            if child_state is None:
+                rectified = state.outcome_of_override(
+                    corr.line, _forced_words(state, corr)).fixes_all
+            else:
+                rectified = child_state.rectified
             self.stats.apply_time += clock.now() - t0
-            if self.invariants:
+            if self.invariants and child_state is not None:
                 self.invariants.check_state(child_state)
             self.stats.nodes += 1
             record = CorrectionRecord(signature, corr.kind.value,
                                       state.table.describe(corr.line))
             child_applied = applied + (record,)
-            if child_state.rectified:
+            if rectified:
                 self.solutions.setdefault(
                     new_keys, Solution(child_applied,
-                                       child_state.netlist))
-            elif len(child_applied) < self.target:
+                                       chain=chain + (corr,)))
+            elif child_state is not None \
+                    and len(child_applied) < self.target:
                 if (self.config.static_prescreen
                         and self.config.incremental_facts):
                     # The recursion is about to pre-screen this child:
                     # warm its facts from the parent's before it does.
                     warm_child_facts(state.netlist, child_state.netlist,
                                      self.stats)
-                self.explore(child_state, child_applied, new_keys)
+                self.explore(child_state, child_applied, new_keys,
+                             chain=chain + (corr,))
 
     def _check_budget(self) -> None:
         if self.budget <= 0:

@@ -19,6 +19,14 @@ Marking rule at a gate, for the vector's simulated (faulty) values:
 
 Both the stem line of each traced signal and the branch line of each
 traversed fanout branch are marked.
+
+:func:`path_trace_counts` runs the rule for a whole sample of failing
+vectors at once: every signal's values under the sample become one
+Python-int mask (bit *j* = vector *j*), and a single sweep in reverse
+topological order carries "traced under these vectors" masks from the
+failing outputs back to the inputs.  A line's count is the popcount of
+its mask.  :func:`path_trace_vector` is the one-vector DFS the kernel
+must agree with; the test suite checks them against each other.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ import numpy as np
 from ..circuit.gatetypes import GateType, controlling_value
 from ..sim.packing import WORD_BITS, bit_indices
 from .bitlists import DiagnosisState
+
+_SOURCES = (GateType.INPUT, GateType.CONST0, GateType.CONST1,
+            GateType.DFF)
 
 
 def path_trace_vector(state: DiagnosisState, vector: int) -> set:
@@ -55,8 +66,7 @@ def path_trace_vector(state: DiagnosisState, vector: int) -> set:
         visited.add(signal)
         marked.add(table.stem(signal).index)
         gate = gates[signal]
-        if gate.gtype in (GateType.INPUT, GateType.CONST0,
-                          GateType.CONST1, GateType.DFF):
+        if gate.gtype in _SOURCES:
             continue
         ctrl = controlling_value(gate.gtype)
         pins = range(len(gate.fanin))
@@ -101,24 +111,89 @@ def derive_seed(base_seed: int, signatures) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
+def _sample_masks(rows: np.ndarray, vectors: list) -> list:
+    """One Python-int mask per row of a packed matrix: bit ``j`` holds
+    the row's value under ``vectors[j]``."""
+    vec = np.asarray(vectors, dtype=np.int64)
+    words = vec // WORD_BITS
+    shifts = (vec % WORD_BITS).astype(np.uint64)
+    masks: list = []
+    for start in range(0, len(vectors), WORD_BITS):
+        chunk = slice(start, start + WORD_BITS)
+        bits = (rows[:, words[chunk]] >> shifts[chunk]) & np.uint64(1)
+        place = np.arange(bits.shape[1], dtype=np.uint64)
+        part = np.bitwise_or.reduce(bits << place, axis=1).tolist()
+        masks = part if not masks else [m | (p << start)
+                                         for m, p in zip(masks, part)]
+    return masks
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
 def path_trace_counts(state: DiagnosisState, max_vectors: int = 24,
                       seed: int = 0) -> np.ndarray:
     """Mark counts per line over a sample of failing vectors.
 
     Lines with a high count are promoted to the second diagnosis step
     (§3.1: "we allow lines that have a high path-trace count to qualify").
-    Returns an int array indexed by line-table position.
+    Returns an int array indexed by line-table position.  Equal to
+    summing :func:`path_trace_vector` over the same sample, computed in
+    one bit-parallel sweep.
     """
-    counts = np.zeros(len(state.table), dtype=np.int64)
+    table = state.table
+    counts = np.zeros(len(table), dtype=np.int64)
     failing = bit_indices(state.err_mask, state.patterns.nbits)
     if not failing:
         return counts
     if len(failing) > max_vectors:
         rng = random.Random(seed)
         failing = rng.sample(failing, max_vectors)
-    for vector in failing:
-        for line in path_trace_vector(state, vector):
-            counts[line] += 1
+    netlist = state.netlist
+    gates = netlist.gates
+    value = _sample_masks(state.values, failing)
+    full = (1 << len(failing)) - 1
+    # traced[s]: the sampled vectors whose trace reaches signal s
+    traced: dict = {}
+    for po, mask in zip(netlist.outputs,
+                        _sample_masks(state.diff, failing)):
+        if mask:
+            traced[po] = traced.get(po, 0) | mask
+    marked: list = []
+    hits: list = []
+    # reverse topological order: every consumer of a signal comes first,
+    # so its traced mask is final when the sweep reaches it
+    for signal in reversed(netlist.topo_order()):
+        mask = traced.get(signal)
+        if not mask:
+            continue
+        marked.append(table.stem(signal).index)
+        hits.append(_popcount(mask))
+        gate = gates[signal]
+        if gate.gtype in _SOURCES:
+            continue
+        ctrl = controlling_value(gate.gtype)
+        if ctrl is None:
+            pin_masks = [mask] * len(gate.fanin)
+        else:
+            ctrl_at = [value[src] if ctrl else full ^ value[src]
+                       for src in gate.fanin]
+            any_ctrl = 0
+            for at in ctrl_at:
+                any_ctrl |= at
+            # controlling pins where one exists, every pin elsewhere
+            free = mask & ~any_ctrl
+            pin_masks = [(mask & at) | free for at in ctrl_at]
+        for pin, (src, pin_mask) in enumerate(zip(gate.fanin, pin_masks)):
+            if not pin_mask:
+                continue
+            branch = table.branch(signal, pin)
+            if branch is not None:
+                marked.append(branch.index)
+                hits.append(_popcount(pin_mask))
+            traced[src] = traced.get(src, 0) | pin_mask
+    counts[marked] = hits
     return counts
 
 

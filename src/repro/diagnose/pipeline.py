@@ -389,7 +389,8 @@ class ExactStuckAtStrategy(SearchStrategy):
                     state.netlist, state.table)
                 session.merge_shard(level, res,
                                     f"N={target} {signature}", merged)
-            found = sort_solutions(merged.values())
+            found = [solution.bound_to(diagnoser.impl) for solution
+                     in sort_solutions(merged.values())]
             rec.items_out = len(found)
             rec.info = {"shards": len(tasks), "jobs": config.jobs,
                         "nodes": level.nodes,

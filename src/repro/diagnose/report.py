@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..circuit.lines import LineTable
+from ..faults.models import apply_correction
+
 
 @dataclass(frozen=True)
 class CorrectionRecord:
@@ -34,7 +37,25 @@ class CorrectionRecord:
         return None
 
 
-@dataclass(frozen=True)
+class _LazyNetlist:
+    """``Solution.netlist``: the stored netlist, or for a chain-only
+    solution the netlist built from ``base`` and ``chain`` on first
+    read."""
+
+    def __get__(self, solution, owner=None):
+        if solution is None:
+            return None  # the dataclass field's default
+        netlist = solution.__dict__.get("_netlist")
+        if netlist is None and solution.chain:
+            netlist = solution.build_netlist()
+            solution.__dict__["_netlist"] = netlist
+        return netlist
+
+    def __set__(self, solution, netlist) -> None:
+        solution.__dict__["_netlist"] = netlist
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Solution:
     """A valid correction set: rectifies the design on every vector.
 
@@ -43,16 +64,68 @@ class Solution:
     design, in stuck-at mode the fault-modeled good netlist that matches
     the faulty device.
 
+    Exact mode finds many tuples and most callers read only their
+    records, so its search records the ``chain`` of applied
+    :class:`~repro.faults.models.Correction` objects instead; after the
+    shard merge the strategy attaches the caller's implementation as
+    ``base`` (:meth:`bound_to`), and ``netlist`` is built on first read
+    (:meth:`build_netlist`).  A pickled solution drops ``base`` and any
+    netlist built from it, so pool shards return records and
+    corrections only.
+
     ``aliases`` lists the descriptions of other correction sets whose
     repaired netlists were SAT-proven equivalent to this one and were
     collapsed into it by the dedup pass
     (:func:`repro.diagnose.dedup.dedup_solutions`); empty unless
     ``DiagnosisConfig.prove_dedup`` was on.
+
+    Equality and hashing read ``records`` and ``aliases`` only, so they
+    never build a netlist.
     """
 
     records: tuple
-    netlist: object = None  # repro.circuit.Netlist (kept loose for eq)
+    netlist: object = _LazyNetlist()  # repro.circuit.Netlist or None
     aliases: tuple = ()     # describe() strings of merged equivalents
+    base: object = None     # netlist the chain applies to
+    chain: tuple = ()       # Correction objects, in application order
+
+    def build_netlist(self):
+        """``base`` with every correction of ``chain`` applied in order,
+        each on a fresh line table — the edits the search made."""
+        if self.base is None:
+            raise ValueError(f"{self.describe()}: netlist read before "
+                             "the solution was bound to its base")
+        netlist = self.base.copy()
+        for corr in self.chain:
+            apply_correction(netlist, LineTable(netlist), corr)
+        return netlist
+
+    def bound_to(self, base) -> "Solution":
+        """This solution with ``base`` as the netlist its chain applies
+        to (itself when it has no chain)."""
+        if not self.chain:
+            return self
+        return Solution(self.records, aliases=self.aliases, base=base,
+                        chain=self.chain)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__, base=None)
+        if self.chain:
+            state["_netlist"] = None
+        return state
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Solution):
+            return NotImplemented
+        return (self.records, self.aliases) == (other.records,
+                                                other.aliases)
+
+    def __hash__(self) -> int:
+        return hash((self.records, self.aliases))
+
+    def __repr__(self) -> str:
+        return (f"Solution(records={self.records!r}, "
+                f"aliases={self.aliases!r})")
 
     @property
     def key(self) -> frozenset:

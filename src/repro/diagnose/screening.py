@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InjectionError
-from ..faults.models import Correction, corrected_line_words
-from ..sim.packing import popcount
+from ..faults.models import Correction, CorrectionKind, corrected_line_words
+from ..sim.packing import popcount, row_popcounts
 from .bitlists import DiagnosisState, OverrideOutcome
+from .candidates import is_correctable_line
 
 
 def prescreen_suspects(state: DiagnosisState, lines,
@@ -138,6 +139,35 @@ def screen_verr(state: DiagnosisState, corr: Correction,
     if complemented < max(required_bits, 1):
         return None
     return complemented
+
+
+def screen_stuck_at(state: DiagnosisState, lines,
+                    required_bits: int) -> list:
+    """:func:`screen_verr` for both stuck-at models of many lines at once.
+
+    A stuck-at-0 complements the line's ones among the failing
+    vectors, ``c0 = popcount(values[driver] & err_mask)``; a stuck-at-1
+    complements its zeros, ``num_err - c0``.  One row popcount of
+    ``values & err_mask`` yields ``c0`` for every signal of the node.
+    Returns ``(complemented, correction)`` pairs for the correctable
+    lines, sa0 before sa1 per line, exactly the pairs and order of a
+    per-correction :func:`screen_verr` loop.
+    """
+    ones = row_popcounts(state.values & state.err_mask)
+    need = max(required_bits, 1)
+    screened = []
+    for line in lines:
+        if not is_correctable_line(state, line):
+            continue
+        c0 = int(ones[state.table[line].driver])
+        if c0 >= need:
+            screened.append((c0, Correction(line,
+                                            CorrectionKind.STUCK_AT_0)))
+        c1 = state.num_err - c0
+        if c1 >= need:
+            screened.append((c1, Correction(line,
+                                            CorrectionKind.STUCK_AT_1)))
+    return screened
 
 
 def evaluate_correction(state: DiagnosisState, corr: Correction,

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import GateType, Netlist, generators
 from repro.diagnose import (DiagnosisState, evaluate_correction,
                             screen_verr, theorem1_bound)
+from repro.diagnose.candidates import (is_correctable_line,
+                                       stuck_at_corrections)
+from repro.diagnose.screening import screen_stuck_at
 from repro.faults import inject_stuck_at_faults
 from repro.faults.models import Correction, CorrectionKind
 from repro.sim import PatternSet, output_rows, simulate
@@ -146,3 +149,39 @@ def test_fig1_scenario():
     assert sc.h3_score < 1.0
     # and with an intolerant h3 the valid fix would be lost:
     assert evaluate_correction(state, fix1, 1, h3=1.0) is None
+
+
+# ----------------------------------------------------------------------
+# the one-pass stuck-at screen against per-correction screen_verr
+# ----------------------------------------------------------------------
+def _per_correction_screen(state, lines, bound):
+    screened = []
+    for line in lines:
+        if not is_correctable_line(state, line):
+            continue
+        for corr in stuck_at_corrections(line):
+            complemented = screen_verr(state, corr, bound)
+            if complemented is not None:
+                screened.append((complemented, corr))
+    return screened
+
+
+@pytest.mark.parametrize("nbits", [1, 50, 64, 100, 200])
+@pytest.mark.parametrize("bound", [0, 1, 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_screen_matches_screen_verr(nbits, bound, seed):
+    """Same ordered (complemented, correction) list as one screen_verr
+    call per correction, on a netlist whose tied constants drive lines
+    (the injected side), with partial tail words and tiny bounds."""
+    spec = generators.random_dag(6, 40, 4, seed=seed)
+    workload = inject_stuck_at_faults(spec, 2, seed=seed)
+    patterns = PatternSet.random(6, nbits, seed=seed + 1)
+    state = DiagnosisState(workload.impl, patterns,
+                           output_rows(spec, simulate(spec, patterns)))
+    lines = list(range(len(state.table)))
+    assert not all(is_correctable_line(state, line) for line in lines)
+    assert screen_stuck_at(state, lines, bound) \
+        == _per_correction_screen(state, lines, bound)
+    theorem1 = theorem1_bound(state.num_err, 2)
+    assert screen_stuck_at(state, lines[::-1], theorem1) \
+        == _per_correction_screen(state, lines[::-1], theorem1)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import packing
 from repro.sim.packing import (PatternSet, WORD_BITS, bit_indices,
-                               num_words, pack_bits, popcount, tail_mask,
-                               unpack_bits)
+                               num_words, pack_bits, popcount,
+                               row_popcounts, tail_mask, unpack_bits)
 
 
 def test_num_words():
@@ -37,6 +38,29 @@ def test_popcount_known_values():
 def test_popcount_matches_python(words):
     arr = np.array(words, dtype=np.uint64)
     assert popcount(arr) == sum(bin(w).count("1") for w in words)
+
+
+@pytest.mark.parametrize("native", [True, False])
+def test_row_popcounts_match_popcount(native, monkeypatch):
+    """Per-row counts on both paths: numpy's native popcount and the
+    16-bit table used where numpy < 2 lacks it."""
+    if not native:
+        monkeypatch.setattr(packing, "_HAS_BITWISE_COUNT", False)
+        monkeypatch.setattr(packing, "_POP16", np.array(
+            [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8),
+            raising=False)
+    elif not packing._HAS_BITWISE_COUNT:
+        pytest.skip("numpy without bitwise_count")
+    rng = np.random.default_rng(3)
+    matrix = rng.integers(0, 2**64, size=(9, 3), dtype=np.uint64)
+    matrix[0] = 0
+    matrix[1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    expected = [sum(bin(int(w)).count("1") for w in row)
+                for row in matrix]
+    counts = row_popcounts(matrix)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
+    assert counts.tolist() == [popcount(row) for row in matrix]
 
 
 @settings(max_examples=50, deadline=None)
