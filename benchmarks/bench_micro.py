@@ -114,7 +114,7 @@ def test_netlist_facts_build(benchmark, alu):
 
 
 def test_netlist_facts_shallow_sections(benchmark, alu):
-    """Ternary constants + dominators only — the per-node prescreen cost."""
+    """Ternary constants + dominators only — the shallow pre-screen sections."""
     from repro.analyze.dataflow import NetlistFacts
 
     def build():

@@ -108,24 +108,7 @@ class DiagnosisConfig:
             width.
         max_rounds: hard cap on rounds (paper observes <=6 typical, 9 for
             c1355/c880-like circuits, allowing up to 256 nodes).
-        static_prescreen: drop suspects that are statically
-            unobservable or ODC-blocked (dominator side input provably
-            at its controlling value) before Heuristic 1 runs — see
-            :func:`repro.diagnose.screening.prescreen_suspects`.  Each
-            dropped suspect is a proven per-vector no-op at every
-            primary output; the screen is re-derived per tree node from
-            the (cached) dataflow facts of that node's netlist.
-        incremental_facts: warm each child node's dataflow-facts bundle
-            from its parent's via the netlist edit journal
-            (:func:`repro.analyze.incremental.warm_facts`) instead of
-            recomputing the facts from scratch at the child's first
-            pre-screen.  Every repair is exact, so results are
-            bit-identical with the flag off — only
-            ``EngineStats.facts_reused`` / ``facts_recomputed`` /
-            ``delta_edits`` and the per-node facts cost change.  Only
-            meaningful while ``static_prescreen`` is on (nothing else
-            reads the facts per node).
-        seq_prescreen: sequential variant of the pre-screen, used by
+        seq_prescreen: static pre-screen of the suspects, used by
             :class:`~repro.diagnose.timeframe.TimeFrameDiagnoser`
             only: drop suspects whose driver is provably masked *from
             reset* — unobservable in the full-scan model (no
@@ -135,11 +118,10 @@ class DiagnosisConfig:
             :func:`repro.analyze.seq.seq_masked_signals`, which carries
             the frame-induction soundness argument.  Each dropped
             suspect is a proven whole-run no-op at every primary output
-            from reset.  Off by default; like ``static_prescreen`` the
-            proof covers single suspects, and exotic tuples whose
-            members pairwise unmask each other are in principle
-            affected (the documented per-node caveat of
-            :func:`repro.diagnose.screening.prescreen_suspects`).
+            from reset.  Off by default; the proof covers single
+            suspects, and exotic tuples whose members pairwise unmask
+            each other are in principle affected (the documented
+            caveat of :func:`repro.diagnose.screening.prescreen_suspects`).
         theorem1_safety: multiply the Theorem 1 bound in exact mode
             (<1 loosens the screen; 1.0 is the proven bound).
         h3_exact: heuristic-3 threshold in exact mode (0 disables the
@@ -177,8 +159,6 @@ class DiagnosisConfig:
     jobs: int = 1
     worker_budget: int | None = None
     max_rounds: int = 9
-    static_prescreen: bool = True
-    incremental_facts: bool = True
     seq_prescreen: bool = False
     theorem1_safety: float = 1.0
     h3_exact: float = 0.0
@@ -287,5 +267,5 @@ class DiagnosisConfig:
             raise DiagnosisError(
                 "seq_prescreen=True only applies to the sequential "
                 "TimeFrameDiagnoser (reset-masked suspects); the "
-                "combinational engine's pre-screen is static_prescreen")
+                "combinational engine has no static pre-screen")
         return self

@@ -57,8 +57,8 @@ from .pathtrace import derive_seed, marked_lines, path_trace_counts
 from .pipeline import DiagnosisSession, TraceWriter, select_strategy
 from .report import (CorrectionRecord, DiagnosisResult, EngineStats,
                      Solution, mark_truncated, sort_solutions)
-from .screening import prescreen_suspects, screen_stuck_at, theorem1_bound
-from .tree import DecisionTree, warm_child_facts
+from .screening import screen_stuck_at, theorem1_bound
+from .tree import DecisionTree
 
 
 class IncrementalDiagnoser:
@@ -152,11 +152,6 @@ class IncrementalDiagnoser:
     # ------------------------------------------------------------------
     # scheduler plumbing shared by both protocols
     # ------------------------------------------------------------------
-    def _wall_deadline(self) -> float | None:
-        """The run deadline as an epoch timestamp workers can share
-        (``time.perf_counter`` is not comparable across processes)."""
-        return self.session.wall_deadline()
-
     def _worker_payload(self) -> tuple:
         """One read-only pickle per worker: netlist + packed patterns."""
         return (self.impl, self.patterns, self.spec_out, self.config)
@@ -165,11 +160,6 @@ class IncrementalDiagnoser:
         from ..parallel import DiagnosisContext
         return DiagnosisContext(self.impl, self.patterns, self.spec_out,
                                 self.config, root_state=self.root_state)
-
-    def _merge_shard(self, stats: EngineStats, res: ShardResult,
-                     label: str, merged: dict | None) -> None:
-        """Back-compat alias for the session's shard merge."""
-        self.session.merge_shard(stats, res, label, merged)
 
 
 def _forced_words(state: DiagnosisState, corr) -> np.ndarray:
@@ -227,20 +217,6 @@ def pathtrace_suspects(state: DiagnosisState, applied_keys: frozenset,
     return lines
 
 
-def prescreen_lines(state: DiagnosisState, lines: list,
-                    applied_keys: frozenset, config: DiagnosisConfig,
-                    stats: EngineStats) -> list:
-    """Static pre-screen of the marked suspects (prescreen stage)."""
-    if not config.static_prescreen:
-        return lines
-    t0 = clock.now()
-    lines, dropped = prescreen_suspects(state, lines,
-                                        deep=not applied_keys)
-    stats.prescreen_dropped += dropped
-    stats.diag_time += clock.now() - t0
-    return lines
-
-
 def screen_and_rank(state: DiagnosisState, lines: list,
                     applied_keys: frozenset, remaining: int,
                     config: DiagnosisConfig, stats: EngineStats,
@@ -283,15 +259,14 @@ def exact_candidates(state: DiagnosisState, applied_keys: frozenset,
                      stats: EngineStats,
                      invariants=None) -> list:
     """Ordered ``(complemented, correction)`` candidates at one
-    exact-mode node: path trace, static pre-screen, Theorem 1 screen,
-    outcome-guided head ordering.
+    exact-mode node: path trace, Theorem 1 screen, outcome-guided head
+    ordering.
 
-    Composes the three stage functions above.  Deterministic given
+    Composes the two stage functions above.  Deterministic given
     ``(state, applied_keys, config)`` — which is what lets the root
     expansion double as the shard plan of the parallel scheduler.
     """
     lines = pathtrace_suspects(state, applied_keys, config, stats)
-    lines = prescreen_lines(state, lines, applied_keys, config, stats)
     return screen_and_rank(state, lines, applied_keys, remaining,
                            config, stats, invariants)
 
@@ -381,12 +356,6 @@ class _ExactSearch:
                                        chain=chain + (corr,)))
             elif child_state is not None \
                     and len(child_applied) < self.target:
-                if (self.config.static_prescreen
-                        and self.config.incremental_facts):
-                    # The recursion is about to pre-screen this child:
-                    # warm its facts from the parent's before it does.
-                    warm_child_facts(state.netlist, child_state.netlist,
-                                     self.stats)
                 self.explore(child_state, child_applied, new_keys,
                              chain=chain + (corr,))
 

@@ -18,10 +18,10 @@ wall time.  Wall times come from :mod:`repro.diagnose.clock` and are
 deterministic function of ``(netlist, patterns, config)``.
 
 Modes differ in how much of the sequence they delegate: the exact
-protocol records ``pathtrace``/``prescreen``/``rank-screen`` for the
-root expansion that doubles as its shard plan (the same computations
-recur inside every search node, where they are accounted in the time
-counters, not as stage records); the DEDC ladder folds them into the
+protocol records ``pathtrace``/``rank-screen`` for the root expansion
+that doubles as its shard plan (the same computations recur inside
+every search node, where they are accounted in the time counters, not
+as stage records); the DEDC ladder folds them into the
 per-node tree work and records its attempt plan under ``rank-screen``;
 the SAT mode's ``verify`` is interleaved with enumeration and reported
 as a summary record.  Iterative-deepening modes repeat the middle
@@ -39,7 +39,8 @@ import json
 from contextlib import contextmanager
 
 from . import clock
-from .report import EngineStats, mark_truncated, sort_solutions
+from .report import (EngineStats, ShardRecord, mark_truncated,
+                     sort_solutions)
 
 #: JSONL trace stream schema (the ``run-start`` event carries it).
 TRACE_SCHEMA = "repro.trace/1"
@@ -283,15 +284,11 @@ class DiagnosisSession:
         """
         if res.error is not None:
             mark_truncated(stats, f"{label}: {res.error}")
-            stats.shards.append({"shard": label, "nodes": 0,
-                                 "truncated": True, "wall_s": 0.0,
-                                 "error": res.error})
+            stats.shards.append(ShardRecord(label, 0, True, res.error))
             return
         stats.merge(res.stats)
-        stats.shards.append({"shard": label, "nodes": res.stats.nodes,
-                             "truncated": res.stats.truncated,
-                             "wall_s": res.stats.total_time,
-                             "error": None})
+        stats.shards.append(ShardRecord(label, res.stats.nodes,
+                                        res.stats.truncated, None))
         if merged is not None:
             for solution in res.solutions:
                 merged.setdefault(solution.key, solution)
@@ -348,8 +345,7 @@ class ExactStuckAtStrategy(SearchStrategy):
 
     def _search_level(self, session: DiagnosisSession, diagnoser,
                       target: int, level: EngineStats) -> list:
-        from .engine import (pathtrace_suspects, prescreen_lines,
-                             screen_and_rank)
+        from .engine import pathtrace_suspects, screen_and_rank
         config = session.config
         state = diagnoser.root_state
         with session.stage("pathtrace", target=target,
@@ -357,16 +353,9 @@ class ExactStuckAtStrategy(SearchStrategy):
             lines = pathtrace_suspects(state, frozenset(), config, level)
             rec.items_out = len(lines)
             rec.info = {"samples": config.pathtrace_samples}
-        with session.stage("prescreen", target=target,
-                           items_in=len(lines)) as rec:
-            kept = prescreen_lines(state, lines, frozenset(), config,
-                                   level)
-            rec.items_out = len(kept)
-            rec.info = {"enabled": config.static_prescreen,
-                        "dropped": len(lines) - len(kept)}
         with session.stage("rank-screen", target=target,
-                           items_in=len(kept)) as rec:
-            ordered = screen_and_rank(state, kept, frozenset(), target,
+                           items_in=len(lines)) as rec:
+            ordered = screen_and_rank(state, lines, frozenset(), target,
                                       config, level,
                                       diagnoser.invariants)
             rec.items_out = len(ordered)
@@ -394,7 +383,6 @@ class ExactStuckAtStrategy(SearchStrategy):
             rec.items_out = len(found)
             rec.info = {"shards": len(tasks), "jobs": config.jobs,
                         "nodes": level.nodes,
-                        "facts_reused": level.facts_reused,
                         "truncated": level.truncated}
         return found
 
@@ -427,8 +415,8 @@ class LadderStrategy(SearchStrategy):
         # Relaxation ladder, then one last attempt with every path-
         # trace-marked line as a candidate (the "reduce progressively
         # when the algorithm returns with no corrections" endgame of
-        # §3.2).  Path trace and pre-screen run inside every tree node
-        # here, so this plan record is the level's rank-screen stage.
+        # §3.2).  Path trace runs inside every tree node here, so this
+        # plan record is the level's rank-screen stage.
         attempts = [(h, None) for h in ladder] + [(ladder[-1], 1.0)]
         with session.stage("rank-screen", target=target,
                            items_in=len(ladder)) as rec:

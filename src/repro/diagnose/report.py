@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..circuit.lines import LineTable
 from ..faults.models import apply_correction
@@ -161,6 +162,15 @@ def sort_solutions(solutions) -> list:
     return sorted(solutions, key=solution_sort_key)
 
 
+class ShardRecord(NamedTuple):
+    """One shard's outcome as the scheduler merge recorded it."""
+
+    shard: str            # plan label, e.g. "N=2 sa1@n12"
+    nodes: int
+    truncated: bool
+    error: str | None     # worker failure message, None on success
+
+
 @dataclass
 class EngineStats:
     """Timing and search-effort counters of one engine run."""
@@ -177,14 +187,13 @@ class EngineStats:
     #: "node-budget", "time-budget", or a per-shard failure like
     #: "N=2 sa1@n12: worker failed: ...".  Empty iff not truncated.
     truncation_causes: list = field(default_factory=list)
-    #: per-shard accounting appended by the scheduler merge, in plan
-    #: order: {"shard", "nodes", "truncated", "wall_s", "error"}.
-    #: Deterministic except "wall_s" (a measurement).
+    #: per-shard :class:`ShardRecord` appended by the scheduler merge,
+    #: in plan order (all fields deterministic).
     shards: list = field(default_factory=list)
-    prescreen_dropped: int = 0  # suspects removed by the static pre-screen
-    facts_reused: int = 0     # child facts bundles warmed from the parent's
-    facts_recomputed: int = 0  # child bundles that had to start from scratch
-    delta_edits: int = 0      # journal edits replayed by the warm repairs
+    prescreen_dropped: int = 0  # suspects removed by seq_prescreen
+    # Always 0 (no search path warms facts); kept for the benchmark reader.
+    facts_reused: int = 0
+    facts_recomputed: int = 0
     dedup_checked: int = 0    # candidate pairs equivalence-checked
     dedup_merged: int = 0     # proven-equivalent candidates collapsed
     dedup_unknown: int = 0    # checks that exhausted the conflict budget
@@ -211,7 +220,6 @@ class EngineStats:
         self.prescreen_dropped += other.prescreen_dropped
         self.facts_reused += other.facts_reused
         self.facts_recomputed += other.facts_recomputed
-        self.delta_edits += other.delta_edits
         self.dedup_checked += other.dedup_checked
         self.dedup_merged += other.dedup_merged
         self.dedup_unknown += other.dedup_unknown

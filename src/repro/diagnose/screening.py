@@ -1,9 +1,9 @@
 """Correction screening: static pre-screen, Theorem 1, heuristics 2 & 3.
 
-**Static pre-screen**: before any heuristic runs, suspects whose
-complement provably cannot reach a primary output — unobservable or
-ODC-blocked per the dataflow facts — are dropped without a single
-simulation (:func:`prescreen_suspects`).
+**Static pre-screen**: suspects whose complement provably cannot reach
+a primary output — unobservable or ODC-blocked per the dataflow facts —
+can be dropped without a single simulation (:func:`prescreen_suspects`,
+an analysis primitive the combinational search does not call).
 
 **Theorem 1** (§3.2): among the lines l1..lN of any valid correction set,
 the largest excitation set Vi has at least ``|V| / N`` vectors — so at
@@ -39,9 +39,9 @@ def prescreen_suspects(state: DiagnosisState, lines,
                        deep: bool = False) -> tuple[list, int]:
     """Static suspect pre-screen: drop lines no correction can excite.
 
-    Runs *before* Heuristic 1, on the dataflow facts of the node's
-    netlist (:func:`repro.analyze.dataflow.netlist_facts` — cached on
-    the netlist, so repeated expansions of one node pay nothing).  A
+    Reads the dataflow facts of the node's netlist
+    (:func:`repro.analyze.dataflow.netlist_facts` — cached on the
+    netlist, so repeated calls on one node pay nothing).  A
     suspect line is dropped when its driver signal
 
     * has no combinational path to any primary output, or
@@ -57,15 +57,14 @@ def prescreen_suspects(state: DiagnosisState, lines,
     branch path is a stem path, so a blocked stem blocks its branches.
 
     ``deep=True`` additionally uses implication- and hash-derived
-    constants (pricier; the engine enables it for root-level
-    expansions, where the facts are computed once per run).
+    constants (pricier).
 
-    The drop is airtight per suspect.  Across a *tuple* of corrections
-    the screen is re-applied per node on the partially-corrected
-    netlist, which in principle can hide exotic tuples whose members
-    pairwise mask each other's observability; the pre-screen shares
-    this per-node character with the Theorem 1 screen and can be
-    switched off via ``DiagnosisConfig(static_prescreen=False)``.
+    The drop is airtight per suspect.  Re-applied per node on a
+    partially-corrected netlist it could in principle hide exotic
+    tuples whose members pairwise mask each other's observability.
+    The combinational search screens with path trace and Theorem 1
+    only and does not call it; the sequential variant is
+    ``DiagnosisConfig.seq_prescreen``.
 
     Returns ``(kept_lines, dropped_count)`` with order preserved.
     """

@@ -30,41 +30,7 @@ from .potential import rank_lines
 from .ranking import rank_corrections
 from .report import (CorrectionRecord, EngineStats, Solution,
                      mark_truncated)
-from .screening import (ScreenedCorrection, prescreen_suspects,
-                        screen_corrections)
-
-#: Facts sections the static pre-screen reads; the warm repair covers
-#: exactly these and leaves the rest lazy.  Implications are excluded
-#: on purpose: child pre-screens run shallow (``deep=False``), and a
-#: warmed implication graph would silently upgrade their
-#: ``blocked_signals`` verdicts — breaking bit-identity with the
-#: ``incremental_facts=False`` path.
-PRESCREEN_SECTIONS = frozenset(
-    ("constants", "observable", "dominators", "cones"))
-
-
-def warm_child_facts(parent, child, stats: EngineStats) -> None:
-    """Warm ``child``'s dataflow-facts bundle from ``parent``'s.
-
-    ``child`` must be a fresh ``parent.copy()`` (journal snapshot 0)
-    mutated only through journalled mutators, so ``edits_since(0)`` is
-    exactly the applied correction.  When the parent never materialized
-    a bundle, or the correction fell back to a full invalidation, the
-    child's first pre-screen recomputes from scratch instead; either
-    way exactly one counter moves.
-    """
-    from ..analyze.dataflow import NetlistFacts
-    base = getattr(parent, "_facts", None)
-    delta = child.edits_since(0)
-    if (not isinstance(base, NetlistFacts)
-            or base.version != parent.version or delta is None):
-        stats.facts_recomputed += 1
-        return
-    from ..analyze.incremental import warm_facts
-    child._facts = warm_facts(child, base, delta,
-                              sections=PRESCREEN_SECTIONS)
-    stats.facts_reused += 1
-    stats.delta_edits += len(delta)
+from .screening import ScreenedCorrection, screen_corrections
 
 
 @dataclass
@@ -129,10 +95,6 @@ class DecisionTree:
         candidate_lines = [line for line
                            in top_fraction(counts, self.candidate_fraction)
                            if is_correctable_line(state, line)]
-        if config.static_prescreen:
-            candidate_lines, dropped = prescreen_suspects(
-                state, candidate_lines, deep=node.depth == 0)
-            self.stats.prescreen_dropped += dropped
         potentials = rank_lines(state, candidate_lines, self.h.h1)
         if self.invariants:
             self.invariants.check_lines_live(state, candidate_lines)
@@ -162,11 +124,6 @@ class DecisionTree:
                                   site, rank_position, round_no)
         child_netlist = state.netlist.copy()
         apply_correction(child_netlist, state.table, sc.correction)
-        if (self.config.static_prescreen and self.config.incremental_facts
-                and node.depth + 1 < self.target):
-            # Only children that may expand (and hence pre-screen) are
-            # worth warming; frontier nodes never read their facts.
-            warm_child_facts(state.netlist, child_netlist, self.stats)
         child_state = DiagnosisState(child_netlist, state.patterns,
                                      state.spec_out)
         if self.invariants:

@@ -30,8 +30,10 @@ from repro.tgen import random_patterns
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "pipeline_golden.json")
 
-#: (jobs, incremental_facts) matrix shared by the engine-backed modes.
-ENGINE_MATRIX = ((1, True), (4, True), (1, False), (4, False))
+#: Pool widths shared by the engine-backed modes.  Case keys keep the
+#: ``/facts1`` suffix of the earlier (jobs, facts) matrix so that case
+#: ids and committed corpus keys stay stable.
+ENGINE_MATRIX = (1, 4)
 
 
 def stats_fingerprint(stats) -> dict:
@@ -42,15 +44,11 @@ def stats_fingerprint(stats) -> dict:
         "truncated": stats.truncated,
         "truncation_causes": list(stats.truncation_causes),
         "prescreen_dropped": stats.prescreen_dropped,
-        "facts_reused": stats.facts_reused,
-        "facts_recomputed": stats.facts_recomputed,
-        "delta_edits": stats.delta_edits,
         "dedup_checked": stats.dedup_checked,
         "dedup_merged": stats.dedup_merged,
         "dedup_unknown": stats.dedup_unknown,
         "levels_tried": list(stats.levels_tried),
-        "shards": [[s["shard"], s["nodes"], s["truncated"], s["error"]]
-                   for s in stats.shards],
+        "shards": [list(s) for s in stats.shards],
     }
 
 
@@ -74,12 +72,10 @@ def exact_cases() -> dict:
         spec = generators.random_dag(5, 30, 3, seed=seed)
         workload = inject_stuck_at_faults(spec, 2, seed=seed + 7)
         patterns = PatternSet.random(5, 256, seed=seed + 1)
-        matrix = ENGINE_MATRIX if seed == 0 else ((1, True),)
-        for jobs, facts in matrix:
+        for jobs in ENGINE_MATRIX if seed == 0 else (1,):
             config = DiagnosisConfig(mode=Mode.STUCK_AT, exact=True,
-                                     max_errors=2, jobs=jobs,
-                                     incremental_facts=facts)
-            key = f"exact/dag{seed}/jobs{jobs}/facts{int(facts)}"
+                                     max_errors=2, jobs=jobs)
+            key = f"exact/dag{seed}/jobs{jobs}/facts1"
             cases[key] = _engine_case(workload.impl, spec, patterns,
                                       config)
     return cases
@@ -91,11 +87,10 @@ def dedc_cases() -> dict:
     workload = observable_design_error_workload(alu4, 2, patterns,
                                                 seed=11)
     cases = {}
-    for jobs, facts in ((1, True), (4, True), (1, False)):
+    for jobs in ENGINE_MATRIX:
         config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, exact=False,
-                                 max_errors=3, jobs=jobs,
-                                 incremental_facts=facts)
-        key = f"dedc/alu4/jobs{jobs}/facts{int(facts)}"
+                                 max_errors=3, jobs=jobs)
+        key = f"dedc/alu4/jobs{jobs}/facts1"
         cases[key] = _engine_case(alu4, workload.impl, patterns, config)
     return cases
 

@@ -4,8 +4,7 @@ The committed ``golden/pipeline_golden.json`` was captured from the
 engines *before* they were rebuilt on ``DiagnosisSession``/stages.  The
 refactor's contract is bit-identity: solutions and every deterministic
 counter are functions of (netlist, patterns, config) only, so the
-captures must match exactly — including ``jobs=4`` vs ``jobs=1`` and
-incremental facts on vs off.
+captures must match exactly — including ``jobs=4`` vs ``jobs=1``.
 """
 
 import pytest

@@ -2,17 +2,15 @@
 
 The acceptance bar: every suspect the pre-screen drops is confirmed
 droppable by exhaustive simulation (complementing the line changes no
-primary output on any vector), and diagnosis results on the seeded
-examples are unchanged with the pre-screen on.
+primary output on any vector).  The exact search's results are checked
+by brute force in ``test_exact_oracle.py``.
 """
 
 import pytest
 
 from repro.circuit import GateType, LineTable, Netlist, generators
-from repro.diagnose import DiagnosisConfig, IncrementalDiagnoser
 from repro.diagnose.bitlists import DiagnosisState
 from repro.diagnose.screening import prescreen_suspects
-from repro.faults import inject_stuck_at_faults
 from repro.faults.models import (Correction, CorrectionKind,
                                  apply_correction)
 from repro.sim import PatternSet
@@ -119,69 +117,3 @@ def test_prescreen_sound_on_random_circuits(seed):
         for kind in (CorrectionKind.STUCK_AT_0,
                      CorrectionKind.STUCK_AT_1):
             assert not changes_any_output(nl, state.table, line, kind)
-
-
-# ----------------------------------------------------------------------
-# end-to-end: diagnosis results unchanged, work reduced
-# ----------------------------------------------------------------------
-def run_engine(device, good, patterns, prescreen: bool):
-    config = DiagnosisConfig(max_errors=2,
-                             static_prescreen=prescreen, seed=3)
-    engine = IncrementalDiagnoser(device, good, patterns, config)
-    return engine.run()
-
-
-def solution_keys(result):
-    return sorted(sorted(s.key) for s in result.solutions)
-
-
-def test_engine_results_unchanged_and_suspects_dropped():
-    good = odc_xor_netlist()
-    table = LineTable(good)
-    device = good.copy()
-    b_stem = next(i for i in range(len(table))
-                  if good.gates[table[i].driver].name == "b"
-                  and table[i].is_stem)
-    apply_correction(device, table, Correction(b_stem,
-                                               CorrectionKind.STUCK_AT_0))
-    patterns = PatternSet.exhaustive(good.num_inputs)
-    with_screen = run_engine(device, good, patterns, True)
-    without = run_engine(device, good, patterns, False)
-    assert with_screen.found and without.found
-    assert solution_keys(with_screen) == solution_keys(without)
-    assert with_screen.stats.prescreen_dropped > 0
-    assert without.stats.prescreen_dropped == 0
-    assert with_screen.stats.nodes <= without.stats.nodes
-
-
-@pytest.mark.parametrize("circuit,faults,seed", [
-    ("c17", 1, 0), ("c17", 2, 1), ("rca4", 1, 2), ("rca4", 2, 5),
-])
-def test_engine_results_unchanged_on_seeded_examples(circuit, faults,
-                                                     seed):
-    good = (generators.c17() if circuit == "c17"
-            else generators.ripple_carry_adder(4))
-    workload = inject_stuck_at_faults(good, faults, seed=seed)
-    patterns = PatternSet.exhaustive(good.num_inputs)
-    with_screen = run_engine(workload.impl, good, patterns, True)
-    without = run_engine(workload.impl, good, patterns, False)
-    assert solution_keys(with_screen) == solution_keys(without)
-    assert (with_screen.stats.truncated
-            == without.stats.truncated is False)
-
-
-def test_tree_mode_results_unchanged():
-    """The DEDC tree path applies the pre-screen too."""
-    from repro.diagnose import Mode
-    good = generators.c17()
-    workload = inject_stuck_at_faults(good, 1, seed=4)
-    patterns = PatternSet.exhaustive(good.num_inputs)
-    results = []
-    for prescreen in (True, False):
-        config = DiagnosisConfig(mode=Mode.STUCK_AT, exact=False,
-                                 max_errors=2,
-                                 static_prescreen=prescreen, seed=3)
-        engine = IncrementalDiagnoser(workload.impl, good, patterns,
-                                      config)
-        results.append(engine.run())
-    assert solution_keys(results[0]) == solution_keys(results[1])
