@@ -60,7 +60,13 @@ class DiagnosisState:
 
     This object is immutable in spirit: the decision tree creates a fresh
     state per node (after applying that node's correction to a netlist
-    copy).
+    copy).  Because nothing about it changes, every measurement the
+    search takes on it is memoized here: override outcomes
+    (:meth:`outcome_of_override`) and, through :meth:`cached`, path-trace
+    counts, correction vocabularies, predicted words and child states.
+    None of them depends on the h-ladder rung or the deepening target
+    that asks, so each rung reads the memo and applies only its own
+    thresholds.  The memos live as long as the state does.
 
     Attributes:
         netlist: the (possibly partially corrected) implementation.
@@ -99,6 +105,8 @@ class DiagnosisState:
         # Baseline big-int rows for the event kernel, shared by every
         # propagate call on this state (values never mutates in place).
         self._base_ints: dict[int, int] = {}
+        self._outcomes: dict = {}   # (site, words bytes) -> outcome
+        self._memo: dict = {}       # see cached()
 
     # ------------------------------------------------------------------
     @cached_property
@@ -133,6 +141,20 @@ class DiagnosisState:
         """
         return self.netlist.fanout_cone(signal)
 
+    def cached(self, key, compute):
+        """The measurement ``key`` of this state; ``compute()`` runs on
+        the first read only.
+
+        Keys are tuples led by a tag naming the measurement (for example
+        ``("pathtrace", samples, seed)`` or ``("child", correction)``).
+        Arrays a caller stores here are shared by every later reader, so
+        they should be made read-only (:func:`frozen`).
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     # ------------------------------------------------------------------
     def propagate_line_override(self, line_index: int,
                                 new_words: np.ndarray) -> dict:
@@ -155,10 +177,25 @@ class DiagnosisState:
                             new_words: np.ndarray) -> "OverrideOutcome":
         """Propagate an override and summarize its effect on V.
 
-        Reuses one per-state scratch diff matrix across calls, so a
-        whole suspect-scoring sweep performs no per-candidate
-        allocations beyond the propagate result itself.
+        Memoized on the override's site — the driver signal of a stem
+        line, ``(sink, pin)`` of a branch — and the words' bytes, so the
+        heuristic-1 potentials, the heuristic-2/3 screen and the
+        exact-mode head ordering and leaf decisions propagate each
+        distinct override once per state.  A miss reuses one per-state
+        scratch diff matrix, so a whole suspect-scoring sweep performs
+        no per-candidate allocations beyond the propagate result itself.
         """
+        line = self.table[line_index]
+        site = line.driver if line.is_stem else (line.sink, line.pin)
+        key = (site, new_words.tobytes())
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            outcome = self._outcomes[key] = self._measure_override(
+                line_index, new_words)
+        return outcome
+
+    def _measure_override(self, line_index: int,
+                          new_words: np.ndarray) -> "OverrideOutcome":
         changed = self.propagate_line_override(line_index, new_words)
         nbits = self.patterns.nbits
         if self._diff_scratch is None:
@@ -177,6 +214,12 @@ class DiagnosisState:
         fixed_pairs = popcount(self.diff & ~diff_after)
         return OverrideOutcome(rectified_vecs, broken_vecs, fixed_pairs,
                                popcount(err_after) == 0)
+
+
+def frozen(words: np.ndarray) -> np.ndarray:
+    """``words`` marked read-only (for arrays shared through a memo)."""
+    words.setflags(write=False)
+    return words
 
 
 class OverrideOutcome:

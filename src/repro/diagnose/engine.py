@@ -53,7 +53,8 @@ from ..sim.packing import PatternSet
 from . import clock
 from .bitlists import DiagnosisState, reference_outputs
 from .config import DiagnosisConfig, Mode
-from .pathtrace import derive_seed, marked_lines, path_trace_counts
+from .pathtrace import (cached_path_trace_counts, derive_seed,
+                        marked_lines)
 from .pipeline import DiagnosisSession, TraceWriter, select_strategy
 from .report import (CorrectionRecord, DiagnosisResult, EngineStats,
                      Solution, mark_truncated, sort_solutions)
@@ -210,8 +211,9 @@ def pathtrace_suspects(state: DiagnosisState, applied_keys: frozenset,
     uses the node's derived seed.
     """
     t0 = clock.now()
-    counts = path_trace_counts(state, config.pathtrace_samples,
-                               derive_seed(config.seed, applied_keys))
+    counts = cached_path_trace_counts(
+        state, config.pathtrace_samples,
+        derive_seed(config.seed, applied_keys))
     lines = marked_lines(counts)
     stats.diag_time += clock.now() - t0
     return lines

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..circuit.gatetypes import GateType, controlling_value
 from ..sim.packing import WORD_BITS, bit_indices
-from .bitlists import DiagnosisState
+from .bitlists import DiagnosisState, frozen
 
 _SOURCES = (GateType.INPUT, GateType.CONST0, GateType.CONST1,
             GateType.DFF)
@@ -195,6 +195,15 @@ def path_trace_counts(state: DiagnosisState, max_vectors: int = 24,
             traced[src] = traced.get(src, 0) | pin_mask
     counts[marked] = hits
     return counts
+
+
+def cached_path_trace_counts(state: DiagnosisState, max_vectors: int,
+                             seed: int) -> np.ndarray:
+    """:func:`path_trace_counts`, measured once per state, sample size
+    and seed; the shared array is read-only."""
+    return state.cached(
+        ("pathtrace", max_vectors, seed),
+        lambda: frozen(path_trace_counts(state, max_vectors, seed)))
 
 
 def marked_lines(counts: np.ndarray) -> list:

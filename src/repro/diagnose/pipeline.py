@@ -503,4 +503,5 @@ class LadderStrategy(SearchStrategy):
                 stats.levels_tried.append(label)
         if winner is None:
             return []
-        return list(results[winner].solutions)
+        return [solution.bound_to(diagnoser.impl)
+                for solution in results[winner].solutions]

@@ -65,11 +65,12 @@ class Solution:
     design, in stuck-at mode the fault-modeled good netlist that matches
     the faulty device.
 
-    Exact mode finds many tuples and most callers read only their
-    records, so its search records the ``chain`` of applied
-    :class:`~repro.faults.models.Correction` objects instead; after the
-    shard merge the strategy attaches the caller's implementation as
-    ``base`` (:meth:`bound_to`), and ``netlist`` is built on first read
+    Most callers read only the records, and a search-time netlist
+    carries its cone caches, so both searches record the ``chain`` of
+    applied :class:`~repro.faults.models.Correction` objects instead.
+    The caller's implementation is attached as ``base`` — by the
+    decision tree directly, or after a shard merge by the strategy
+    (:meth:`bound_to`) — and ``netlist`` is built on first read
     (:meth:`build_netlist`).  A pickled solution drops ``base`` and any
     netlist built from it, so pool shards return records and
     corrections only.

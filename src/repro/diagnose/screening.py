@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import InjectionError
 from ..faults.models import Correction, CorrectionKind, corrected_line_words
 from ..sim.packing import popcount, row_popcounts
-from .bitlists import DiagnosisState, OverrideOutcome
+from .bitlists import DiagnosisState, OverrideOutcome, frozen
 from .candidates import is_correctable_line
 
 
@@ -169,6 +169,28 @@ def screen_stuck_at(state: DiagnosisState, lines,
     return screened
 
 
+def correction_effect(state: DiagnosisState,
+                      corr: Correction) -> tuple | None:
+    """``(predicted words, complemented Verr bits)`` of a correction.
+
+    Measured once per state (:meth:`DiagnosisState.cached`); the words
+    are read-only because every :class:`ScreenedCorrection` built from
+    them shares the array.  None when the correction is structurally
+    impossible or a no-op (complements no ``Verr`` bit) — rejections no
+    threshold can undo.  A rung's ``h2`` bound is a comparison on the
+    cached count.
+    """
+    def measure():
+        new_words = predicted_words(state, corr)
+        if new_words is None:
+            return None
+        complemented = screen_verr(state, corr, 0, new_words)
+        if complemented is None:
+            return None
+        return frozen(new_words), complemented
+    return state.cached(("effect", corr), measure)
+
+
 def evaluate_correction(state: DiagnosisState, corr: Correction,
                         required_bits: int,
                         h3: float) -> ScreenedCorrection | None:
@@ -178,12 +200,10 @@ def evaluate_correction(state: DiagnosisState, corr: Correction,
     disables the heuristic-3 screen (exact mode uses this so no valid
     tuple is pruned).
     """
-    new_words = predicted_words(state, corr)
-    if new_words is None:
+    effect = correction_effect(state, corr)
+    if effect is None or effect[1] < required_bits:
         return None
-    complemented = screen_verr(state, corr, required_bits, new_words)
-    if complemented is None:
-        return None
+    new_words, complemented = effect
     outcome = state.outcome_of_override(corr.line, new_words)
     h1_score = outcome.h1_score(state)
     h3_score = outcome.h3_score(state)
@@ -198,12 +218,12 @@ def screen_corrections(state: DiagnosisState, corrections,
                        h3: float) -> list[ScreenedCorrection]:
     """Batched screen of many candidate corrections on one state.
 
-    The whole sweep runs on the state's shared scratch diff matrix (see
-    :meth:`DiagnosisState.outcome_of_override`), so screening a node's
-    full correction vocabulary — typically hundreds of candidates —
-    allocates nothing per candidate beyond each survivor's predicted
-    line words.  Rejected corrections simply do not appear in the
-    result; order is preserved otherwise.
+    Every measurement comes from the state's memos (see
+    :func:`correction_effect` and
+    :meth:`DiagnosisState.outcome_of_override`), so re-screening a
+    node's vocabulary at a relaxed threshold propagates nothing that an
+    earlier screen already did.  Rejected corrections simply do not
+    appear in the result; order is preserved otherwise.
     """
     survivors: list[ScreenedCorrection] = []
     for corr in corrections:

@@ -25,7 +25,8 @@ from . import clock
 from .bitlists import DiagnosisState
 from .candidates import corrections_for_line, is_correctable_line
 from .config import DiagnosisConfig, HLevel
-from .pathtrace import derive_seed, path_trace_counts, top_fraction
+from .pathtrace import (cached_path_trace_counts, derive_seed,
+                        top_fraction)
 from .potential import rank_lines
 from .ranking import rank_corrections
 from .report import (CorrectionRecord, EngineStats, Solution,
@@ -33,15 +34,20 @@ from .report import (CorrectionRecord, EngineStats, Solution,
 from .screening import ScreenedCorrection, screen_corrections
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
-    """One decision-tree node: a partially corrected implementation."""
+    """One decision-tree node: a partially corrected implementation.
+
+    Nodes compare by identity: the open-node list removes *this* node,
+    never one that merely shares its state.
+    """
 
     state: DiagnosisState
     depth: int = 0
     applied: tuple = ()                 # CorrectionRecords so far
     pending: list | None = None         # ranked ScreenedCorrections
     next_rank: int = 0                  # position of next pending pop
+    chain: tuple = ()                   # Corrections applied, in order
 
     @property
     def expanded(self) -> bool:
@@ -53,7 +59,16 @@ class Node:
 
 
 class DecisionTree:
-    """Round-based traversal for one (target cardinality, h-level) pair."""
+    """Round-based traversal for one (target cardinality, h-level) pair.
+
+    A tree owns its nodes, their rank positions and rounds, and its
+    visited-set dedup.  The measurements behind them — path-trace
+    counts, potentials, vocabularies, screens and child states — live on
+    the :class:`DiagnosisState` memos, so the trees of every ladder rung
+    and deepening target over one root state share them: a later rung
+    re-reads what an earlier one measured and only applies its own
+    thresholds.
+    """
 
     def __init__(self, root_state: DiagnosisState, target_errors: int,
                  h: HLevel, config: DiagnosisConfig,
@@ -90,8 +105,8 @@ class DecisionTree:
         # pathtrace.derive_seed).
         seed = derive_seed(config.seed,
                            tuple(r.signature for r in node.applied))
-        counts = path_trace_counts(state, config.pathtrace_samples,
-                                   seed)
+        counts = cached_path_trace_counts(state, config.pathtrace_samples,
+                                          seed)
         candidate_lines = [line for line
                            in top_fraction(counts, self.candidate_fraction)
                            if is_correctable_line(state, line)]
@@ -103,9 +118,13 @@ class DecisionTree:
         required = max(1, int(self.h.h2 * state.num_err))
         screened: list[ScreenedCorrection] = []
         for pot in potentials:
-            screened.extend(screen_corrections(
-                state, corrections_for_line(state, pot.line, config),
-                required, self.h.h3))
+            vocabulary = state.cached(
+                ("vocabulary", pot.line, config.mode,
+                 config.wire_source_limit),
+                lambda: tuple(corrections_for_line(state, pot.line,
+                                                   config)))
+            screened.extend(screen_corrections(state, vocabulary,
+                                               required, self.h.h3))
         ranked = rank_corrections(state, screened)
         node.pending = [sc for _rank, sc in
                         ranked[: config.corrections_per_node]]
@@ -115,23 +134,35 @@ class DecisionTree:
     # ------------------------------------------------------------------
     def apply(self, node: Node, sc: ScreenedCorrection,
               round_no: int, rank_position: int) -> Node:
-        """Create the child node reached by applying one correction."""
+        """Create the child node reached by applying one correction.
+
+        The child *state* is built once per parent state and correction
+        and shared by every tree that applies the same correction there;
+        the node, its record and the node count are this tree's own.
+        """
         t0 = clock.now()
         state = node.state
-        signature = sc.correction.describe(state.netlist, state.table)
-        site = state.table.describe(sc.correction.line)
-        record = CorrectionRecord(signature, sc.correction.kind.value,
+        corr = sc.correction
+        signature = corr.describe(state.netlist, state.table)
+        site = state.table.describe(corr.line)
+        record = CorrectionRecord(signature, corr.kind.value,
                                   site, rank_position, round_no)
+        child_state = state.cached(("child", corr),
+                                   lambda: self._child_state(state, corr))
+        self.stats.apply_time += clock.now() - t0
+        self.stats.nodes += 1
+        return Node(child_state, node.depth + 1,
+                    node.applied + (record,), chain=node.chain + (corr,))
+
+    def _child_state(self, state: DiagnosisState,
+                     corr) -> DiagnosisState:
         child_netlist = state.netlist.copy()
-        apply_correction(child_netlist, state.table, sc.correction)
+        apply_correction(child_netlist, state.table, corr)
         child_state = DiagnosisState(child_netlist, state.patterns,
                                      state.spec_out)
         if self.invariants:
             self.invariants.check_state(child_state)
-        self.stats.apply_time += clock.now() - t0
-        self.stats.nodes += 1
-        return Node(child_state, node.depth + 1,
-                    node.applied + (record,))
+        return child_state
 
     # ------------------------------------------------------------------
     def run(self, stop_at_first: bool = True,
@@ -166,8 +197,11 @@ class DecisionTree:
             return False
         self._seen_sets.add(key)
         if child.state.rectified:
+            # The search-time netlist carries its cone caches; the
+            # solution rebuilds a bare one from the root on first read.
             self.solutions.append(Solution(child.applied,
-                                           child.state.netlist))
+                                           base=self.root.state.netlist,
+                                           chain=child.chain))
             return stop_at_first
         if child.depth < self.target:
             self.open_nodes.append(child)
@@ -234,18 +268,8 @@ class DecisionTree:
                 if not node.open:
                     self._close(node)
                 child = self.apply(node, sc, round_no, rank_position)
-                key = frozenset(r.signature for r in child.applied)
-                if key in self._seen_sets:
-                    continue
-                self._seen_sets.add(key)
-                if child.state.rectified:
-                    self.solutions.append(Solution(child.applied,
-                                                   child.state.netlist))
-                    if stop_at_first:
-                        return self.solutions
-                    continue
-                if child.depth < self.target:
-                    self.open_nodes.append(child)
+                if self._register_child(child, stop_at_first):
+                    return self.solutions
         return self.solutions
 
     def _close(self, node: Node) -> None:

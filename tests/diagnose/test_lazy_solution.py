@@ -1,8 +1,9 @@
-"""Exact-mode solutions build their corrected netlist on first read.
+"""Search solutions build their corrected netlist on first read.
 
 A leaf of the exact search is judged from its parent's state and gets
-no netlist of its own; its :class:`Solution` carries the base netlist
-plus the chain of applied corrections instead.  These tests pin that
+no netlist of its own, and a DEDC node's netlist carries search-time
+cone caches; either :class:`Solution` carries the base netlist plus the
+chain of applied corrections instead.  These tests pin that
 the lazily built netlist is the one the eager child construction makes,
 that it crosses the process pool without its base, and that nothing
 reads it by accident.
@@ -17,9 +18,11 @@ from repro.diagnose import (DiagnosisConfig, DiagnosisState,
                             IncrementalDiagnoser, Mode, rectifies)
 from repro.diagnose.engine import fast_stuck_at_child
 from repro.diagnose.report import CorrectionRecord, Solution
-from repro.faults import inject_stuck_at_faults
+from repro.faults import (inject_stuck_at_faults,
+                          observable_design_error_workload)
 from repro.faults.models import Correction, CorrectionKind
 from repro.sim import PatternSet, output_rows, simulate
+from repro.tgen import random_patterns
 from repro.tgen.distinguish import refine_diagnosis
 
 
@@ -85,6 +88,23 @@ def test_jobs2_round_trip_carries_no_base():
         assert clone == solution
         assert bench_io.dumps(clone.bound_to(spec).netlist) \
             == bench_io.dumps(solution.netlist)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_dedc_solution_builds_a_rectifying_netlist(jobs):
+    spec = generators.random_dag(8, 60, 4, seed=3)
+    patterns = random_patterns(spec, 256, seed=4)
+    impl = observable_design_error_workload(spec, 2, patterns,
+                                            seed=6).impl
+    config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, exact=False,
+                             max_errors=3, jobs=jobs)
+    result = IncrementalDiagnoser(spec, impl, patterns, config).run()
+    assert result.solutions
+    for solution in result.solutions:
+        assert solution.base is impl   # bound to the caller's netlist
+        assert len(solution.chain) == solution.size
+        assert vars(solution)["_netlist"] is None
+        assert rectifies(spec, solution.netlist, patterns)
 
 
 def test_eager_solution_keeps_its_netlist(c17):
