@@ -1,4 +1,5 @@
-"""Incremental fact-maintenance benchmarks (``BENCH_incr.json``).
+"""Incremental fact-maintenance benchmarks: the ``incr`` suite of
+``repro bench`` (``BENCH_incr.json``).
 
 One suite, ``maintain``: apply a seeded sequence of journalled edits
 (gate-type swaps, safe fanin rewires, inverter insertions) to a circuit
@@ -15,41 +16,31 @@ implication closure, observability/dominator blocking — correct after
 
 Both paths replay the identical edit sequence (same seed) and the final
 fact state is asserted equal, so the reported speedup compares equal
-work.  The schema check enforces structure and the equal-work
-invariants, never timings (shared CI runners make wall-clock assertions
+work.  :func:`semantic_errors` enforces the equal-work invariants,
+never timings (shared CI runners make wall-clock assertions
 meaningless); the committed payload is regenerated on a quiet machine.
-
-Run as a script (``python benchmarks/bench_incr.py [--smoke]``) it
-regenerates ``BENCH_incr.json``; under pytest it validates the smoke
-payload end to end.
 """
 
 import random
 import time
 
-from conftest import SCALE
-from repro.analyze.dataflow import FACTS_CACHE, NetlistFacts, netlist_facts
-from repro.circuit import GateType, Netlist, generators
+from ..analyze.dataflow import FACTS_CACHE, NetlistFacts, netlist_facts
+from ..circuit import GateType, Netlist
+from .harness import suite_circuit
 
 CIRCUITS = ("c432", "alu4", "rca8")
 SMOKE_CIRCUITS = ("c17", "rca8")
 EDITS = 100
 SMOKE_EDITS = 20
 SCHEMA = "repro.bench_incr/1"
+RECORD_KEYS = {"maintain": ("circuit", "gates", "edits", "seed",
+                            "facts_reused", "delta_edits", "warm_s",
+                            "scratch_s", "warm_per_edit_ms",
+                            "scratch_per_edit_ms", "speedup")}
 
 _UNARY_POOL = (GateType.BUF, GateType.NOT)
 _MULTI_POOL = (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
                GateType.XOR, GateType.XNOR)
-
-
-def build_circuit(name: str) -> Netlist:
-    if name == "alu4":
-        return generators.alu(4)
-    if name == "rca8":
-        return generators.ripple_carry_adder(8)
-    if name == "c432":
-        return generators.by_name("r432", scale=SCALE)
-    return generators.by_name(name, scale=SCALE)
 
 
 def apply_random_edit(rng: random.Random, nl: Netlist) -> None:
@@ -92,8 +83,8 @@ def materialize(facts: NetlistFacts) -> tuple:
 
 def maintain_record(name: str, edits: int, seed: int = 7) -> dict:
     """Warm-vs-scratch fact maintenance over one edit sequence."""
-    warm_nl = build_circuit(name)
-    scratch_nl = build_circuit(name)
+    warm_nl = suite_circuit(name)
+    scratch_nl = suite_circuit(name)
     # Both paths start from materialized facts (the diagnosis root).
     FACTS_CACHE.reset()
     materialize(netlist_facts(warm_nl))
@@ -140,81 +131,25 @@ def run_suites(smoke: bool = False) -> dict:
     return {"schema": SCHEMA, "smoke": smoke, "records": records}
 
 
-def validate_payload(payload: dict) -> list:
+def semantic_errors(payload: dict) -> list:
     errors = []
-    if payload.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA}")
-    records = payload.get("records", ())
-    if not records:
-        errors.append("no records")
-    for record in records:
-        if record.get("suite") != "maintain":
-            errors.append(f"unknown suite {record.get('suite')!r}")
-            continue
-        for key in ("circuit", "gates", "edits", "seed", "facts_reused",
-                    "delta_edits", "warm_s", "scratch_s", "speedup"):
-            if key not in record:
-                errors.append(f"maintain/{record.get('circuit')}: "
-                              f"missing {key}")
-        circuit = record.get("circuit")
-        if record.get("facts_reused", 0) > record.get("edits", 0):
-            errors.append(f"maintain/{circuit}: more warm repairs than "
-                          "edit steps")
-        if record.get("delta_edits", 0) < record.get("facts_reused", 1):
+    for record in payload["records"]:
+        circuit = record["circuit"]
+        # the repair path must carry the whole maintenance load
+        if record["facts_reused"] != record["edits"]:
+            errors.append(f"maintain/{circuit}: {record['facts_reused']} "
+                          f"warm repairs for {record['edits']} edit steps")
+        if record["delta_edits"] < record["facts_reused"]:
             errors.append(f"maintain/{circuit}: every warm repair must "
                           "replay at least one journal edit")
     return errors
 
 
-# ----------------------------------------------------------------------
-# pytest entry points
-# ----------------------------------------------------------------------
-def test_bench_payload_schema():
-    payload = run_suites(smoke=True)
-    assert validate_payload(payload) == []
-    for record in payload["records"]:
-        # the repair path must actually carry the maintenance load
-        assert record["facts_reused"] == record["edits"]
-
-
-def main(argv=None) -> int:
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="regenerate BENCH_incr.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced circuits/edits for CI")
-    parser.add_argument("--check", metavar="FILE",
-                        help="validate an existing payload and exit")
-    parser.add_argument("--out", default="BENCH_incr.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            errors = validate_payload(json.load(fh))
-        for err in errors:
-            print(f"schema: {err}")
-        print(f"{args.check}: {'FAIL' if errors else 'ok'}")
-        return 2 if errors else 0
-    payload = run_suites(smoke=args.smoke)
-    errors = validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}")
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    for record in payload["records"]:
-        print(f"{record['circuit']:>10}: {record['edits']} edits "
-              f"warm {record['warm_per_edit_ms']:.2f}ms/edit vs "
-              f"scratch {record['scratch_per_edit_ms']:.2f}ms/edit "
-              f"-> {record['speedup']:.1f}x "
-              f"({record['facts_reused']} repairs, "
-              f"{record['delta_edits']} journal edits)")
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def summary_lines(payload: dict) -> list:
+    return [f"{record['circuit']:>10}: {record['edits']} edits "
+            f"warm {record['warm_per_edit_ms']:.2f}ms/edit vs "
+            f"scratch {record['scratch_per_edit_ms']:.2f}ms/edit "
+            f"-> {record['speedup']:.1f}x "
+            f"({record['facts_reused']} repairs, "
+            f"{record['delta_edits']} journal edits)"
+            for record in payload["records"]]

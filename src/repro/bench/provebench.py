@@ -1,4 +1,4 @@
-"""SAT-sweeping benchmarks (the ``BENCH_prove.json`` suite).
+"""SAT-sweeping benchmarks: the ``prove`` suite of ``repro bench``.
 
 Two measurements:
 
@@ -13,27 +13,28 @@ Two measurements:
   anywhere on the chain yields the identical repaired function, so exact
   diagnosis inflates the answer with candidates no vector set can ever
   separate.  The proof-backed dedup pass must collapse them.
-
-Run as a script (``python benchmarks/bench_prove.py [--smoke]``) it
-regenerates ``BENCH_prove.json``; under pytest-benchmark it times the
-same workloads.
 """
 
 import time
 
-import pytest
-
-from conftest import SCALE
-from repro.analyze.prove import Prover
-from repro.circuit import GateType, Netlist, generators
-from repro.diagnose import DiagnosisConfig, IncrementalDiagnoser, Mode
-from repro.sim import PatternSet
+from ..analyze.prove import Prover
+from ..circuit import GateType, Netlist
+from ..diagnose import DiagnosisConfig, IncrementalDiagnoser, Mode
+from ..sim import PatternSet
+from .harness import suite_circuit
 
 SWEEP_CIRCUITS = ("c17", "r432", "twins8", "twins32")
 SMOKE_SWEEP_CIRCUITS = ("c17", "twins8")
 DEDUP_DEPTHS = (4, 12)
 SMOKE_DEDUP_DEPTHS = (4,)
 SCHEMA = "repro.bench_prove/1"
+RECORD_KEYS = {
+    "sweep": ("circuit", "gates", "queries", "proven", "refuted",
+              "unknown", "sim_refuted", "counterexamples", "conflicts",
+              "proven_constants", "proven_classes", "wall_s"),
+    "dedup": ("circuit", "gates", "solutions_before", "solutions_after",
+              "merged", "checked", "unknown", "wall_s"),
+}
 
 
 def planted_twins(pairs: int = 8) -> Netlist:
@@ -86,7 +87,7 @@ def buffered_chain(depth: int = 4) -> Netlist:
 def build_circuit(name: str) -> Netlist:
     if name.startswith("twins"):
         return planted_twins(pairs=int(name[len("twins"):]))
-    return generators.by_name(name, scale=SCALE)
+    return suite_circuit(name)
 
 
 def sweep_record(circuit, conflict_budget: int = 20_000,
@@ -146,37 +147,16 @@ def run_suites(smoke: bool = False) -> dict:
     return {"schema": SCHEMA, "smoke": smoke, "records": records}
 
 
-def validate_payload(payload: dict) -> list:
+def semantic_errors(payload: dict) -> list:
     errors = []
-    if payload.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA}")
-    for record in payload.get("records", ()):
-        suite = record.get("suite")
-        if suite == "sweep":
-            required = ("circuit", "gates", "queries", "proven",
-                        "refuted", "unknown", "sim_refuted",
-                        "counterexamples", "conflicts",
-                        "proven_constants", "proven_classes", "wall_s")
-        elif suite == "dedup":
-            required = ("circuit", "gates", "solutions_before",
-                        "solutions_after", "merged", "checked",
-                        "unknown", "wall_s")
-        else:
-            errors.append(f"unknown suite {suite!r}")
-            continue
-        missing = [key for key in required if key not in record]
-        for key in missing:
-            errors.append(f"{suite}/{record.get('circuit')}: "
-                          f"missing {key}")
-        if missing:
-            continue
-        name = f"{suite}/{record['circuit']}"
-        if suite == "sweep" and (record["proven"] + record["refuted"]
-                                 + record["unknown"]
-                                 != record["queries"]):
+    for record in payload["records"]:
+        name = f"{record['suite']}/{record['circuit']}"
+        if record["suite"] == "sweep" and (
+                record["proven"] + record["refuted"] + record["unknown"]
+                != record["queries"]):
             errors.append(f"{name}: proven + refuted + unknown "
                           "!= queries (a verdict was dropped)")
-        if suite == "dedup":
+        if record["suite"] == "dedup":
             if (record["solutions_after"] + record["merged"]
                     != record["solutions_before"]):
                 errors.append(f"{name}: after + merged != before")
@@ -185,87 +165,21 @@ def validate_payload(payload: dict) -> list:
     return errors
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=SWEEP_CIRCUITS)
-def circuit(request):
-    return build_circuit(request.param)
-
-
-def test_sweep(benchmark, circuit):
-    def run():
-        return Prover(circuit, nvectors=128, seed=0).sweep()
-
-    result = benchmark(run)
-    benchmark.extra_info.update({
-        "circuit": circuit.name, "gates": len(circuit.gates),
-        "queries": result.stats.queries, "proven": result.stats.proven,
-    })
-
-
-@pytest.mark.parametrize("depth", DEDUP_DEPTHS)
-def test_dedup_reduction(benchmark, depth):
-    record = benchmark(dedup_record, depth)
-    assert record["solutions_after"] + record["merged"] \
-        == record["solutions_before"]
-    benchmark.extra_info.update({
-        "depth": depth, "merged": record["merged"],
-        "solutions_before": record["solutions_before"],
-    })
-
-
-def test_bench_payload_schema():
-    payload = run_suites(smoke=True)
-    assert validate_payload(payload) == []
-
-
-def main(argv=None) -> int:
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="regenerate BENCH_prove.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced circuits/vectors for CI")
-    parser.add_argument("--check", metavar="FILE",
-                        help="validate an existing payload and exit")
-    parser.add_argument("--out", default="BENCH_prove.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            errors = validate_payload(json.load(fh))
-        for err in errors:
-            print(f"schema: {err}")
-        print(f"{args.check}: {'FAIL' if errors else 'ok'}")
-        return 2 if errors else 0
-    payload = run_suites(smoke=args.smoke)
-    errors = validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}")
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def summary_lines(payload: dict) -> list:
+    lines = []
     for record in payload["records"]:
         if record["suite"] == "sweep":
-            print(f"{record['circuit']:>8}: sweep "
-                  f"{record['queries']} queries "
-                  f"({record['proven']} proven, "
-                  f"{record['refuted']} refuted, "
-                  f"{record['unknown']} unknown, "
-                  f"{record['conflicts']} conflicts) "
-                  f"{record['wall_s'] * 1e3:.2f}ms")
+            lines.append(f"{record['circuit']:>8}: sweep "
+                         f"{record['queries']} queries "
+                         f"({record['proven']} proven, "
+                         f"{record['refuted']} refuted, "
+                         f"{record['unknown']} unknown, "
+                         f"{record['conflicts']} conflicts) "
+                         f"{record['wall_s'] * 1e3:.2f}ms")
         else:
-            print(f"{record['circuit']:>8}: dedup "
-                  f"{record['solutions_before']} -> "
-                  f"{record['solutions_after']} candidates "
-                  f"({record['merged']} proven-equivalent merged, "
-                  f"{record['wall_s'] * 1e3:.2f}ms)")
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+            lines.append(f"{record['circuit']:>8}: dedup "
+                         f"{record['solutions_before']} -> "
+                         f"{record['solutions_after']} candidates "
+                         f"({record['merged']} proven-equivalent merged, "
+                         f"{record['wall_s'] * 1e3:.2f}ms)")
+    return lines

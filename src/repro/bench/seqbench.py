@@ -1,4 +1,4 @@
-"""Sequential-analysis benchmarks (the ``BENCH_seq.json`` suite).
+"""Sequential-analysis benchmarks: the ``seq`` suite of ``repro bench``.
 
 Three measurements:
 
@@ -13,29 +13,23 @@ Three measurements:
   ``twinreg`` workloads duplicate every state bit through a hash-blind
   re-encoding of its next-state function, so each redundancy costs a
   real induction proof.  Every candidate must land in exactly one of
-  proven/refuted/unknown — the validator enforces it.
+  proven/refuted/unknown — :func:`semantic_errors` enforces it.
 * **prescreen** — the sequential diagnosis pre-screen
   (``DiagnosisConfig(seq_prescreen=True)`` on
   :class:`repro.diagnose.timeframe.TimeFrameDiagnoser`): node counts
   and dropped-suspect counts with the screen on vs off on a planted
-  workload with provably masked logic.  The validator requires
+  workload with provably masked logic.  The check requires
   ``identical: true`` — the screen must not change the solution list —
   and a nonzero drop count.
-
-Run as a script (``python benchmarks/bench_seq.py [--smoke]``) it
-regenerates ``BENCH_seq.json``; under pytest-benchmark it times the
-same workloads.
 """
 
 import time
 
-import pytest
-
-from conftest import SCALE
-from repro.analyze.seq import SeqProver, reset_fixpoint
-from repro.circuit import GateType, Netlist, generators
-from repro.diagnose import DiagnosisConfig
-from repro.diagnose.timeframe import TimeFrameDiagnoser, random_sequences
+from ..analyze.seq import SeqProver, reset_fixpoint
+from ..circuit import GateType, Netlist, generators
+from ..diagnose import DiagnosisConfig
+from ..diagnose.timeframe import TimeFrameDiagnoser, random_sequences
+from .harness import SCALE
 
 FIXPOINT_CIRCUITS = ("s27", "stuck4", "stuck16", "rseq6")
 SMOKE_FIXPOINT_CIRCUITS = ("s27", "stuck4")
@@ -44,6 +38,17 @@ SMOKE_SCORR_CIRCUITS = ("s27", "twinreg2")
 PRESCREEN_CONES = (2, 6)
 SMOKE_PRESCREEN_CONES = (2,)
 SCHEMA = "repro.bench_seq/1"
+RECORD_KEYS = {
+    "fixpoint": ("circuit", "gates", "dffs", "iterations",
+                 "stuck_registers", "seq_constants", "wall_s"),
+    "scorr": ("circuit", "gates", "dffs", "k", "nvectors",
+              "constant_candidates", "pair_candidates", "base_queries",
+              "step_queries", "proven", "refuted", "unknown",
+              "step_restarts", "conflicts", "proven_classes", "wall_s"),
+    "prescreen": ("circuit", "gates", "frames", "solutions", "identical",
+                  "dropped", "nodes_off", "nodes_on", "wall_off_s",
+                  "wall_s"),
+}
 
 
 def planted_stuck(count: int = 4) -> Netlist:
@@ -220,34 +225,10 @@ def run_suites(smoke: bool = False) -> dict:
     return {"schema": SCHEMA, "smoke": smoke, "records": records}
 
 
-def validate_payload(payload: dict) -> list:
+def semantic_errors(payload: dict) -> list:
     errors = []
-    if payload.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA}")
-    for record in payload.get("records", ()):
-        suite = record.get("suite")
-        if suite == "fixpoint":
-            required = ("circuit", "gates", "dffs", "iterations",
-                        "stuck_registers", "seq_constants", "wall_s")
-        elif suite == "scorr":
-            required = ("circuit", "gates", "dffs", "k", "nvectors",
-                        "constant_candidates", "pair_candidates",
-                        "base_queries", "step_queries", "proven",
-                        "refuted", "unknown", "step_restarts",
-                        "conflicts", "proven_classes", "wall_s")
-        elif suite == "prescreen":
-            required = ("circuit", "gates", "frames", "solutions",
-                        "identical", "dropped", "nodes_off", "nodes_on",
-                        "wall_off_s", "wall_s")
-        else:
-            errors.append(f"unknown suite {suite!r}")
-            continue
-        missing = [key for key in required if key not in record]
-        for key in missing:
-            errors.append(f"{suite}/{record.get('circuit')}: "
-                          f"missing {key}")
-        if missing:
-            continue
+    for record in payload["records"]:
+        suite = record["suite"]
         name = f"{suite}/{record['circuit']}"
         if suite == "fixpoint":
             if record["iterations"] > record["dffs"] + 1:
@@ -273,111 +254,28 @@ def validate_payload(payload: dict) -> list:
     return errors
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=FIXPOINT_CIRCUITS)
-def fixpoint_circuit(request):
-    return build_circuit(request.param)
-
-
-def test_fixpoint(benchmark, fixpoint_circuit):
-    result = benchmark(reset_fixpoint, fixpoint_circuit, 0)
-    benchmark.extra_info.update({
-        "circuit": fixpoint_circuit.name,
-        "iterations": result.iterations,
-        "stuck_registers": len(result.stuck_registers),
-    })
-
-
-@pytest.fixture(scope="module", params=SCORR_CIRCUITS)
-def scorr_circuit(request):
-    return build_circuit(request.param)
-
-
-def test_scorr_sweep(benchmark, scorr_circuit):
-    def run():
-        return SeqProver(scorr_circuit, k=2, nvectors=64, seed=0).sweep()
-
-    result = benchmark(run)
-    stats = result.stats
-    assert stats.proven + stats.refuted + stats.unknown \
-        == stats.constant_candidates + stats.pair_candidates
-    benchmark.extra_info.update({
-        "circuit": scorr_circuit.name, "proven": stats.proven,
-        "classes": len(result.classes),
-    })
-
-
-@pytest.mark.parametrize("cones", PRESCREEN_CONES)
-def test_prescreen(benchmark, cones):
-    record = benchmark(prescreen_record, cones)
-    assert record["identical"]
-    assert record["dropped"] > 0
-    benchmark.extra_info.update({
-        "cones": cones, "dropped": record["dropped"],
-        "nodes_off": record["nodes_off"], "nodes_on": record["nodes_on"],
-    })
-
-
-def test_bench_payload_schema():
-    payload = run_suites(smoke=True)
-    assert validate_payload(payload) == []
-
-
-def main(argv=None) -> int:
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="regenerate BENCH_seq.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced circuits/vectors for CI")
-    parser.add_argument("--check", metavar="FILE",
-                        help="validate an existing payload and exit")
-    parser.add_argument("--out", default="BENCH_seq.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            errors = validate_payload(json.load(fh))
-        for err in errors:
-            print(f"schema: {err}")
-        print(f"{args.check}: {'FAIL' if errors else 'ok'}")
-        return 2 if errors else 0
-    payload = run_suites(smoke=args.smoke)
-    errors = validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}")
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def summary_lines(payload: dict) -> list:
+    lines = []
     for record in payload["records"]:
         if record["suite"] == "fixpoint":
-            print(f"{record['circuit']:>10}: fixpoint "
-                  f"{record['iterations']} sweep(s), "
-                  f"{record['stuck_registers']} stuck register(s), "
-                  f"{record['seq_constants']} seq constant(s) "
-                  f"{record['wall_s'] * 1e3:.2f}ms")
+            lines.append(f"{record['circuit']:>10}: fixpoint "
+                         f"{record['iterations']} sweep(s), "
+                         f"{record['stuck_registers']} stuck register(s), "
+                         f"{record['seq_constants']} seq constant(s) "
+                         f"{record['wall_s'] * 1e3:.2f}ms")
         elif record["suite"] == "scorr":
-            print(f"{record['circuit']:>10}: scorr "
-                  f"{record['constant_candidates']}+"
-                  f"{record['pair_candidates']} candidates, "
-                  f"{record['proven']} proven, "
-                  f"{record['refuted']} refuted, "
-                  f"{record['unknown']} unknown, "
-                  f"{record['conflicts']} conflicts "
-                  f"{record['wall_s'] * 1e3:.2f}ms")
+            lines.append(f"{record['circuit']:>10}: scorr "
+                         f"{record['constant_candidates']}+"
+                         f"{record['pair_candidates']} candidates, "
+                         f"{record['proven']} proven, "
+                         f"{record['refuted']} refuted, "
+                         f"{record['unknown']} unknown, "
+                         f"{record['conflicts']} conflicts "
+                         f"{record['wall_s'] * 1e3:.2f}ms")
         else:
-            print(f"{record['circuit']:>10}: prescreen "
-                  f"dropped {record['dropped']}, nodes "
-                  f"{record['nodes_off']} -> {record['nodes_on']}, "
-                  f"identical={record['identical']} "
-                  f"{record['wall_s'] * 1e3:.2f}ms")
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+            lines.append(f"{record['circuit']:>10}: prescreen "
+                         f"dropped {record['dropped']}, nodes "
+                         f"{record['nodes_off']} -> {record['nodes_on']}, "
+                         f"identical={record['identical']} "
+                         f"{record['wall_s'] * 1e3:.2f}ms")
+    return lines

@@ -1,9 +1,9 @@
-"""Simulation-kernel benchmark harness behind ``repro bench``.
+"""Simulation-kernel benchmarks: the ``sim`` suite of ``repro bench``.
 
 Measures the hot path that dominates every diagnosis round: the
 heuristic-1 suspect sweep (complement a line's ``Verr`` bits, propagate
 the difference through its fanout cone, inspect the outputs).  Two
-suites:
+record suites:
 
 * **micro** — the suspect-scoring sweep on a cross-section of suite
   circuits at a fixed vector count, run once per kernel (``event``, the
@@ -13,27 +13,24 @@ suites:
   (kernel ``full``) plus the event-kernel sweep across a ladder of
   vector counts, to expose how throughput scales with pattern volume.
 
-Results are emitted as ``BENCH_sim.json``.  Every record carries the
-required schema fields::
+Results are emitted as ``BENCH_sim.json``.  Every record carries::
 
+    suite         "micro" | "scaling"
     circuit       suite circuit name (str)
     nvectors      packed test vectors simulated (int > 0)
     kernel        "event" | "scan" | "full"
     wall_s        best-of-repeats wall-clock seconds (float > 0)
     events_per_s  changed gate rows produced per second (float >= 0)
+    gates         gates in the circuit
+    events        changed gate rows over the timed call (int > 0)
 
-plus informational extras (``suite``, ``gates``, ``suspects``,
-``events``).  An *event* is one changed gate row reported by a
-``propagate`` call (for ``full`` records: one gate row computed), which
-is kernel-independent semantic work — so ``events_per_s`` compares
-kernels fairly.  :func:`validate_payload` enforces the schema; the CI
-smoke job fails on schema violations, never on timings.
+plus ``suspects`` on sweep records.  An *event* is one changed gate row
+reported by a ``propagate`` call (for ``full`` records: one gate row
+computed), which is kernel-independent semantic work — so
+``events_per_s`` compares kernels fairly.
 """
 
 from __future__ import annotations
-
-import json
-import time
 
 from ..circuit.gatetypes import SOURCE_TYPES
 from ..circuit import generators
@@ -41,9 +38,17 @@ from ..faults.inject import inject_stuck_at_faults
 from ..sim.compare import failing_vector_mask
 from ..sim.logicsim import output_rows, propagate, propagate_scan, simulate
 from ..sim.packing import PatternSet, popcount
+from .harness import best_of
 
-SCHEMA_ID = "repro.bench_sim/1"
+SCHEMA = "repro.bench_sim/1"
 KERNELS = ("event", "scan", "full")
+_KEYS = ("circuit", "nvectors", "kernel", "wall_s", "events_per_s",
+         "gates", "events")
+RECORD_KEYS = {"micro": _KEYS, "scaling": _KEYS}
+
+#: Timing repeats (best-of) and workload seed of a full run.
+REPEATS = 3
+SEED = 0
 
 #: Default circuits for the micro suite (the suite's combinational
 #: c-series-style cross-section, smallest to largest).
@@ -103,33 +108,21 @@ def _sweep(kernel: str, circuit, values, err_mask, suspects) -> int:
     return events
 
 
-def _timed(fn, repeats: int):
-    """(best wall seconds, last result) over ``repeats`` runs."""
-    best = None
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        wall = time.perf_counter() - t0
-        best = wall if best is None else min(best, wall)
-    return max(best, 1e-9), result
-
-
 def run_micro(circuits=MICRO_CIRCUITS, nvectors: int = 1024,
-              suspect_cap: int = 128, repeats: int = 3,
-              scale: float = 1.0, seed: int = 0) -> list[dict]:
+              suspect_cap: int = 128, repeats: int = REPEATS,
+              scale: float = 1.0) -> list[dict]:
     """Suspect-scoring micro suite: one record per (circuit, kernel)."""
     records = []
     for name in circuits:
         circuit = generators.by_name(name, scale=scale)
-        values, err_mask, _patterns = _prepare(circuit, nvectors, seed)
+        values, err_mask, _patterns = _prepare(circuit, nvectors, SEED)
         suspects = _suspect_signals(circuit, suspect_cap)
         # Warm the netlist caches (fanout tables, levels) outside the
         # timed region for both kernels alike.
         circuit.event_fanouts()
         circuit.levels()
         for kernel in ("event", "scan"):
-            wall, events = _timed(
+            wall, events = best_of(
                 lambda k=kernel: _sweep(k, circuit, values, err_mask,
                                         suspects), repeats)
             records.append({
@@ -144,24 +137,23 @@ def run_micro(circuits=MICRO_CIRCUITS, nvectors: int = 1024,
 
 def run_scaling(circuit_name: str = "r880",
                 vector_ladder=SCALING_VECTORS, suspect_cap: int = 64,
-                repeats: int = 3, scale: float = 1.0,
-                seed: int = 0) -> list[dict]:
+                repeats: int = REPEATS, scale: float = 1.0) -> list[dict]:
     """Scaling suite: simulate + event sweep across vector counts."""
     records = []
     for nvectors in vector_ladder:
         circuit = generators.by_name(circuit_name, scale=scale)
-        values, err_mask, patterns = _prepare(circuit, nvectors, seed)
+        values, err_mask, patterns = _prepare(circuit, nvectors, SEED)
         suspects = _suspect_signals(circuit, suspect_cap)
         circuit.event_fanouts()
         circuit.levels()
-        wall, _ = _timed(lambda: simulate(circuit, patterns), repeats)
+        wall, _ = best_of(lambda: simulate(circuit, patterns), repeats)
         records.append({
             "suite": "scaling", "circuit": circuit_name,
             "nvectors": nvectors, "kernel": "full", "wall_s": wall,
             "events_per_s": len(circuit.gates) / wall,
             "gates": len(circuit.gates), "events": len(circuit.gates),
         })
-        wall, events = _timed(
+        wall, events = best_of(
             lambda: _sweep("event", circuit, values, err_mask, suspects),
             repeats)
         records.append({
@@ -186,101 +178,60 @@ def speedups(records) -> dict:
             if "scan" in walls and "event" in walls}
 
 
-def run_suites(smoke: bool = False, repeats: int = 3,
-               seed: int = 0) -> dict:
+def run_suites(smoke: bool = False) -> dict:
     """Run both suites and assemble the BENCH_sim.json payload."""
     if smoke:
         micro = run_micro(SMOKE_MICRO_CIRCUITS, nvectors=128,
-                          suspect_cap=24, repeats=1, scale=0.3,
-                          seed=seed)
+                          suspect_cap=24, repeats=1, scale=0.3)
         scaling = run_scaling("r880", SMOKE_SCALING_VECTORS,
-                              suspect_cap=16, repeats=1, scale=0.3,
-                              seed=seed)
+                              suspect_cap=16, repeats=1, scale=0.3)
     else:
-        micro = run_micro(repeats=repeats, seed=seed)
-        scaling = run_scaling(repeats=repeats, seed=seed)
+        micro = run_micro()
+        scaling = run_scaling()
     records = micro + scaling
     return {
-        "schema": SCHEMA_ID,
+        "schema": SCHEMA,
         "smoke": smoke,
         "records": records,
         "summary": {"micro_speedup_scan_over_event": speedups(records)},
     }
 
 
-# ----------------------------------------------------------------------
-# schema validation (the CI smoke job's failure condition)
-# ----------------------------------------------------------------------
-_REQUIRED = (("circuit", str), ("nvectors", int), ("kernel", str),
-             ("wall_s", float), ("events_per_s", float))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def validate_payload(payload) -> list[str]:
-    """Schema errors in a BENCH_sim payload ([] when valid).
-
-    Checks structure and value sanity (positive wall times, known
-    kernels), *not* the timings themselves — a slow run is a valid run.
-    """
+def semantic_errors(payload) -> list[str]:
+    """Value sanity (types, known kernels, positive counts and wall
+    times), *not* the timings themselves — a slow run is a valid run."""
     errors: list[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not a JSON object"]
-    if payload.get("schema") != SCHEMA_ID:
-        errors.append(f"schema id is {payload.get('schema')!r}, "
-                      f"expected {SCHEMA_ID!r}")
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        errors.append("records must be a non-empty list")
-        return errors
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(payload["records"]):
         where = f"records[{i}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key, typ in _REQUIRED:
-            value = rec.get(key)
-            if value is None:
-                errors.append(f"{where}: missing required key {key!r}")
-            elif typ is float:
-                if not isinstance(value, (int, float)) or \
-                        isinstance(value, bool):
-                    errors.append(f"{where}: {key} must be a number")
-            elif not isinstance(value, typ) or isinstance(value, bool):
-                errors.append(f"{where}: {key} must be {typ.__name__}")
-        kernel = rec.get("kernel")
-        if isinstance(kernel, str) and kernel not in KERNELS:
-            errors.append(f"{where}: unknown kernel {kernel!r}")
-        nvectors = rec.get("nvectors")
-        if isinstance(nvectors, int) and not isinstance(nvectors, bool) \
-                and nvectors <= 0:
-            errors.append(f"{where}: nvectors must be positive")
-        wall = rec.get("wall_s")
-        if isinstance(wall, (int, float)) and not isinstance(wall, bool) \
-                and wall <= 0:
-            errors.append(f"{where}: wall_s must be positive")
-        eps = rec.get("events_per_s")
-        if isinstance(eps, (int, float)) and not isinstance(eps, bool) \
-                and eps < 0:
-            errors.append(f"{where}: events_per_s must be >= 0")
+        if not isinstance(rec["circuit"], str):
+            errors.append(f"{where}: circuit must be str")
+        if rec["kernel"] not in KERNELS:
+            errors.append(f"{where}: unknown kernel {rec['kernel']!r}")
+        for key in ("nvectors", "events"):
+            value = rec[key]
+            if not _is_number(value) or isinstance(value, float) \
+                    or value <= 0:
+                errors.append(f"{where}: {key} must be a positive int")
+        if not _is_number(rec["wall_s"]) or rec["wall_s"] <= 0:
+            errors.append(f"{where}: wall_s must be a positive number")
+        if not _is_number(rec["events_per_s"]) or rec["events_per_s"] < 0:
+            errors.append(f"{where}: events_per_s must be a number >= 0")
     return errors
 
 
-def validate_file(path) -> list[str]:
-    """Validate an on-disk BENCH_sim.json; returns schema errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        return [f"{path}: unreadable ({exc})"]
-    return validate_payload(payload)
-
-
-def format_records(records) -> str:
-    """Human-readable table of benchmark records."""
+def summary_lines(payload) -> list[str]:
     lines = [f"{'suite':<9}{'circuit':<9}{'nvec':>6}{'kernel':>7}"
              f"{'wall_s':>10}{'events/s':>12}"]
-    for rec in records:
+    for rec in payload["records"]:
         lines.append(
-            f"{rec.get('suite', '-'):<9}{rec['circuit']:<9}"
+            f"{rec['suite']:<9}{rec['circuit']:<9}"
             f"{rec['nvectors']:>6}{rec['kernel']:>7}"
             f"{rec['wall_s']:>10.4f}{rec['events_per_s']:>12.0f}")
-    return "\n".join(lines)
+    for name, ratio in sorted(
+            payload["summary"]["micro_speedup_scan_over_event"].items()):
+        lines.append(f"speedup {name}: event kernel {ratio:.1f}x over scan")
+    return lines

@@ -1,4 +1,5 @@
-"""Static testability benchmarks (``BENCH_testability.json``).
+"""Static testability benchmarks: the ``testability`` suite of
+``repro bench`` (``BENCH_testability.json``).
 
 Two suites:
 
@@ -20,43 +21,36 @@ Two suites:
   by SAT: tying the line to its stuck value must leave the circuit
   provably equivalent (:func:`repro.analyze.prove_equivalent` PROVEN).
 
-The schema check enforces structure and the guidance/soundness
-invariants, never timings; the committed payload is regenerated on a
-quiet machine.  Run as a script
-(``python benchmarks/bench_testability.py [--smoke]``) it regenerates
-``BENCH_testability.json``; under pytest it validates the smoke payload
-end to end.
+Every planted gadget must be classified statically, with no search.
+:func:`semantic_errors` enforces the guidance and soundness invariants,
+never timings; the committed payload is regenerated on a quiet machine.
 """
 
 import random
 import time
 
-from conftest import SCALE
-from repro.analyze.dataflow import netlist_facts
-from repro.analyze.prove import prove_equivalent
-from repro.analyze.testability import INF
-from repro.circuit import GateType, Netlist, generators
-from repro.circuit.lines import LineTable
-from repro.faults.models import apply_correction, stuck_at_correction
-from repro.tgen import deterministic_patterns_with_stats
+from ..analyze.dataflow import netlist_facts
+from ..analyze.prove import prove_equivalent
+from ..analyze.testability import INF
+from ..circuit import GateType, Netlist
+from ..circuit.lines import LineTable
+from ..faults.models import apply_correction, stuck_at_correction
+from ..tgen import deterministic_patterns_with_stats
+from .harness import suite_circuit
 
 SCOAP_CIRCUITS = ("c17", "rca8", "alu4", "c432")
 SMOKE_SCOAP_CIRCUITS = ("c17", "rca8")
 PODEM_CIRCUITS = (("c17", 3), ("rca8", 3))
 SMOKE_PODEM_CIRCUITS = (("c17", 1),)
 SCHEMA = "repro.bench_testability/1"
+RECORD_KEYS = {
+    "scoap": ("circuit", "gates", "scoap_s", "max_cc", "max_co",
+              "fault_sites", "static_untestable"),
+    "podem": ("circuit", "gates", "gadgets", "guided", "unguided",
+              "sat_checked", "sat_confirmed"),
+}
 GADGET_WIDTH = 6
 BACKTRACK_LIMIT = 120
-
-
-def build_circuit(name: str) -> Netlist:
-    if name == "alu4":
-        return generators.alu(4)
-    if name == "rca8":
-        return generators.ripple_carry_adder(8)
-    if name == "c432":
-        return generators.by_name("r432", scale=SCALE)
-    return generators.by_name(name, scale=SCALE)
 
 
 def plant_gadget(nl: Netlist, stem: int, tag: str) -> int:
@@ -80,7 +74,7 @@ def plant_gadget(nl: Netlist, stem: int, tag: str) -> int:
 
 
 def plant_workload(name: str, gadgets: int, seed: int = 11) -> Netlist:
-    nl = build_circuit(name)
+    nl = suite_circuit(name)
     rng = random.Random(seed)
     live = nl.live_set()
     stems = [g.index for g in nl.gates
@@ -93,7 +87,7 @@ def plant_workload(name: str, gadgets: int, seed: int = 11) -> Netlist:
 
 
 def scoap_record(name: str) -> dict:
-    nl = build_circuit(name)
+    nl = suite_circuit(name)
     t0 = time.perf_counter()
     facts = netlist_facts(nl)
     tb = facts.testability()
@@ -159,32 +153,15 @@ def run_suites(smoke: bool = False) -> dict:
     return {"schema": SCHEMA, "smoke": smoke, "records": records}
 
 
-def validate_payload(payload: dict) -> list:
+def semantic_errors(payload: dict) -> list:
     errors = []
-    if payload.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA}")
-    records = payload.get("records", ())
-    if not records:
-        errors.append("no records")
     zero_search = 0
-    for record in records:
-        suite = record.get("suite")
-        circuit = record.get("circuit")
-        if suite == "scoap":
-            for key in ("circuit", "gates", "scoap_s", "max_cc",
-                        "max_co", "fault_sites", "static_untestable"):
-                if key not in record:
-                    errors.append(f"scoap/{circuit}: missing {key}")
+    for record in payload["records"]:
+        if record["suite"] != "podem":
             continue
-        if suite != "podem":
-            errors.append(f"unknown suite {suite!r}")
-            continue
-        for key in ("circuit", "gates", "gadgets", "guided", "unguided",
-                    "sat_checked", "sat_confirmed"):
-            if key not in record:
-                errors.append(f"podem/{circuit}: missing {key}")
-        guided = record.get("guided", {})
-        unguided = record.get("unguided", {})
+        circuit = record["circuit"]
+        guided = record["guided"]
+        unguided = record["unguided"]
         if guided.get("faults") != unguided.get("faults"):
             errors.append(f"podem/{circuit}: guided and unguided ran "
                           "different fault lists")
@@ -193,75 +170,36 @@ def validate_payload(payload: dict) -> list:
                           "reduce total backtracks")
         if guided.get("aborted", 0) > unguided.get("aborted", 0):
             errors.append(f"podem/{circuit}: guidance introduced aborts")
-        if record.get("sat_confirmed") != record.get("sat_checked"):
+        if record["sat_confirmed"] != record["sat_checked"]:
             errors.append(f"podem/{circuit}: a statically-untestable "
                           "verdict failed its SAT cross-check")
-        if record.get("sat_checked", 0) < record.get("gadgets", 0):
+        if record["sat_checked"] < record["gadgets"]:
             errors.append(f"podem/{circuit}: every planted redundancy "
                           "must be statically identified")
+        if guided.get("static_untestable", 0) < record["gadgets"]:
+            errors.append(f"podem/{circuit}: a planted redundancy was "
+                          "not classified untestable with zero search")
         zero_search += guided.get("static_untestable", 0)
-    if records and not zero_search:
+    if not zero_search:
         errors.append("no record classified a fault untestable with "
                       "zero search")
     return errors
 
 
-# ----------------------------------------------------------------------
-# pytest entry points
-# ----------------------------------------------------------------------
-def test_bench_payload_schema():
-    payload = run_suites(smoke=True)
-    assert validate_payload(payload) == []
-    for record in payload["records"]:
-        if record["suite"] != "podem":
-            continue
-        # the planted redundancy is found without a single backtrack
-        assert record["guided"]["static_untestable"] >= record["gadgets"]
-
-
-def main(argv=None) -> int:
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="regenerate BENCH_testability.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced circuits/gadgets for CI")
-    parser.add_argument("--check", metavar="FILE",
-                        help="validate an existing payload and exit")
-    parser.add_argument("--out", default="BENCH_testability.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            errors = validate_payload(json.load(fh))
-        for err in errors:
-            print(f"schema: {err}")
-        print(f"{args.check}: {'FAIL' if errors else 'ok'}")
-        return 2 if errors else 0
-    payload = run_suites(smoke=args.smoke)
-    errors = validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}")
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def summary_lines(payload: dict) -> list:
+    lines = []
     for record in payload["records"]:
         if record["suite"] == "scoap":
-            print(f"{record['circuit']:>12}: scoap {record['scoap_s']*1e3:.1f}ms "
-                  f"max cc {record['max_cc']} co {record['max_co']} "
-                  f"untestable {record['static_untestable']}")
+            lines.append(f"{record['circuit']:>12}: scoap "
+                         f"{record['scoap_s'] * 1e3:.1f}ms "
+                         f"max cc {record['max_cc']} co {record['max_co']} "
+                         f"untestable {record['static_untestable']}")
         else:
             g, u = record["guided"], record["unguided"]
-            print(f"{record['circuit']:>12}: backtracks "
-                  f"{g['backtracks']} guided vs {u['backtracks']} "
-                  f"unguided, aborts {g['aborted']} vs {u['aborted']}, "
-                  f"{g['static_untestable']} static skips, "
-                  f"SAT {record['sat_confirmed']}/{record['sat_checked']}")
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+            lines.append(f"{record['circuit']:>12}: backtracks "
+                         f"{g['backtracks']} guided vs {u['backtracks']} "
+                         f"unguided, aborts {g['aborted']} vs "
+                         f"{u['aborted']}, {g['static_untestable']} "
+                         f"static skips, SAT {record['sat_confirmed']}/"
+                         f"{record['sat_checked']}")
+    return lines

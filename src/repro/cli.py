@@ -7,7 +7,7 @@ Subcommands::
     repro ablation [--errors K] ...
     repro diagnose SPEC.bench IMPL.bench [--mode stuck-at|design-error]
                    [--jobs N] [--worker-budget N] [--format json]
-    repro bench [--smoke] [--out BENCH_sim.json] [--check FILE]
+    repro bench SUITE [--smoke] [--out FILE] [--check FILE]
     repro lint FILE [FILE...] [--format json] [--strict] [--deep]
                [--prove] [--seq] ...
     repro facts FILE [FILE...] [--format json] [--no-deep] [--seq]
@@ -33,6 +33,7 @@ from .analyze import DEFAULT_REGISTRY, lint_netlist
 from .bench import (format_ablation, format_compare, format_table1,
                     format_table2, run_ablation, run_compare,
                     run_table1, run_table2)
+from .bench import harness
 from .circuit import bench_io, full_scan, generators, verilog_io
 from .diagnose import (DiagnosisConfig, IncrementalDiagnoser, Mode,
                        TraceWriter, validate_trace_file)
@@ -448,33 +449,32 @@ def cmd_tgen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Simulation-kernel benchmarks -> BENCH_sim.json.
+    """Regenerate ``BENCH_<SUITE>.json``, or check a payload.
 
-    Exit codes: 0 ok, 2 schema violation (timings never fail the run).
+    Exit codes: 0 ok, 2 invalid payload (a schema violation or a failed
+    gate; timings fail only a full run's own gate).
     """
-    from .bench import simbench
-
+    module = harness.suite_module(args.suite)
     if args.check:
-        errors = simbench.validate_file(args.check)
-        for err in errors:
-            print(f"schema: {err}", file=sys.stderr)
+        errors = harness.validate_file(args.suite, args.check)
+    else:
+        payload = module.run_suites(smoke=args.smoke)
+        errors = harness.validate_payload(args.suite, payload)
+        if not args.smoke and hasattr(module, "full_run_errors"):
+            errors += module.full_run_errors(payload)
+    for err in errors:
+        print(f"{args.suite}: {err}", file=sys.stderr)
+    if args.check:
         print(f"{args.check}: " + ("INVALID" if errors else "ok"))
+    if errors or args.check:
         return 2 if errors else 0
-    payload = simbench.run_suites(smoke=args.smoke,
-                                  repeats=args.repeats, seed=args.seed)
-    errors = simbench.validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}", file=sys.stderr)
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
+    out = args.out or f"BENCH_{args.suite}.json"
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    print(simbench.format_records(payload["records"]))
-    for name, ratio in sorted(
-            payload["summary"]["micro_speedup_scan_over_event"].items()):
-        print(f"speedup {name}: event kernel {ratio:.1f}x over scan")
-    print(f"wrote {args.out}")
+    for line in module.summary_lines(payload):
+        print(line)
+    print(f"wrote {out}")
     return 0
 
 
@@ -665,17 +665,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tgen)
 
     p = sub.add_parser("bench",
-                       help="simulation-kernel benchmarks "
-                            "(BENCH_sim.json)")
+                       help="regenerate or check a BENCH_<SUITE>.json "
+                            "benchmark payload")
+    p.add_argument("suite", metavar="SUITE", choices=harness.SUITES,
+                   help="one of: " + " ".join(harness.SUITES))
     p.add_argument("--smoke", action="store_true",
-                   help="tiny budgets for CI (schema still enforced)")
-    p.add_argument("--out", default="BENCH_sim.json",
-                   help="output JSON path (default BENCH_sim.json)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats, best-of (default 3)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="reduced workloads for CI (schema and gates "
+                        "still enforced)")
+    p.add_argument("--out", metavar="FILE", default="",
+                   help="output JSON path (default BENCH_<SUITE>.json)")
     p.add_argument("--check", metavar="FILE", default="",
-                   help="validate an existing BENCH_sim.json and exit")
+                   help="validate an existing payload and exit")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inject", help="corrupt a netlist")
